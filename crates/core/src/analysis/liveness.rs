@@ -61,11 +61,7 @@ fn unused_functions(checked: &Checked, out: &mut Vec<Finding>) {
             continue;
         }
         if let Some(f) = checked.funcs.get(&name) {
-            let mut callees = HashSet::new();
-            for s in &f.body.stmts {
-                calls_in_stmt(s, &mut callees);
-            }
-            queue.extend(callees);
+            queue.extend(callees(f));
         }
     }
     for f in checked.funcs_in_order() {
@@ -80,6 +76,17 @@ fn unused_functions(checked: &Checked, out: &mut Vec<Finding>) {
             });
         }
     }
+}
+
+/// Every name `f`'s body calls, builtins included. Array extents and
+/// index-set bounds must be compile-time constants (sema), so the walk
+/// can skip them without missing a call.
+pub(crate) fn callees(f: &FuncDef) -> HashSet<String> {
+    let mut out = HashSet::new();
+    for s in &f.body.stmts {
+        calls_in_stmt(s, &mut out);
+    }
+    out
 }
 
 fn calls_in_stmt(s: &Stmt, out: &mut HashSet<String>) {

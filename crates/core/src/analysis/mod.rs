@@ -18,13 +18,15 @@
 //! | UC132 | liveness  | function never called from `main` |
 //!
 //! Every pass is a pure function over [`Checked`] — the symbol/type
-//! tables sema exports — so the same passes can later run over the
-//! compiled IR (ROADMAP item 3) without changing their reporting.
+//! tables sema exports — independent of how the executor runs the
+//! program.
 
 mod comm;
 mod context;
 mod liveness;
 mod races;
+
+pub(crate) use liveness::callees;
 
 use std::collections::HashMap;
 

@@ -67,14 +67,13 @@ impl Program {
                     for scope in frame.scopes.iter().rev() {
                         match scope.vars.get(name) {
                             Some(LocalVar::Scalar(s)) => return Some(*s),
-                            Some(LocalVar::Slot(i)) => return Some(frame.regs[*i]),
                             Some(_) => return None,
                             None => {}
                         }
                     }
                 }
-                if let Some(&i) = self.global_index.get(name) {
-                    return Some(self.globals[i as usize]);
+                if let Some(s) = self.globals.get(name) {
+                    return Some(*s);
                 }
                 self.checked.consts.get(name).map(|v| Scalar::Int(*v))
             }
@@ -731,19 +730,6 @@ impl Program {
                         *slot = LocalVar::Scalar(coerced);
                         return Ok(());
                     }
-                    Some(LocalVar::Slot(i)) => {
-                        let i = *i;
-                        let PV::Scalar(s) = value else {
-                            return Err(RuntimeError::NotSupported(format!(
-                                "assigning a parallel value to front-end scalar `{name}` \
-                                 (use a reduction to combine values first)"
-                            )));
-                        };
-                        let frame = self.frames.last_mut().unwrap();
-                        let ty = frame.regs[i].elem_type();
-                        frame.regs[i] = super::space::coerce_scalar(s, ty);
-                        return Ok(());
-                    }
                     Some(LocalVar::Array(_)) => {
                         return Err(RuntimeError::NotSupported(format!(
                             "array `{name}` assigned without subscripts"
@@ -753,15 +739,15 @@ impl Program {
                 }
             }
         }
-        if let Some(&i) = self.global_index.get(name) {
-            let old = self.globals[i as usize];
+        if let Some(old) = self.globals.get(name).copied() {
             let PV::Scalar(s) = value else {
                 return Err(RuntimeError::NotSupported(format!(
                     "assigning a parallel value to front-end scalar `{name}` \
                      (use a reduction to combine values first)"
                 )));
             };
-            self.globals[i as usize] = super::space::coerce_scalar(s, old.elem_type());
+            self.globals
+                .insert(name.to_string(), super::space::coerce_scalar(s, old.elem_type()));
             return Ok(());
         }
         Err(RuntimeError::Unbound(name.to_string()))

@@ -105,7 +105,6 @@ impl Program {
             for scope in frame.scopes.iter().rev() {
                 match scope.vars.get(name) {
                     Some(LocalVar::Scalar(s)) => return Ok(PV::Scalar(*s)),
-                    Some(LocalVar::Slot(i)) => return Ok(PV::Scalar(frame.regs[*i])),
                     Some(LocalVar::ParField { field, level }) => {
                         let (field, level) = (*field, *level);
                         if self.ctx.is_empty() {
@@ -124,8 +123,8 @@ impl Program {
                 }
             }
         }
-        if let Some(&i) = self.global_index.get(name) {
-            return Ok(PV::Scalar(self.globals[i as usize]));
+        if let Some(s) = self.globals.get(name) {
+            return Ok(PV::Scalar(*s));
         }
         if let Some(v) = self.checked.consts.get(name) {
             return Ok(PV::Scalar(Scalar::Int(*v)));
@@ -400,7 +399,7 @@ impl Program {
 }
 
 /// Front-end unary arithmetic on scalars (C semantics, wrapping ints).
-pub(crate) fn scalar_unary(op: UnaryOp, s: Scalar) -> Scalar {
+fn scalar_unary(op: UnaryOp, s: Scalar) -> Scalar {
     match (op, s) {
         (UnaryOp::Neg, Scalar::Int(x)) => Scalar::Int(x.wrapping_neg()),
         (UnaryOp::Neg, Scalar::Float(x)) => Scalar::Float(-x),
@@ -516,7 +515,7 @@ fn machine_op(op: BinaryOp) -> BinOp {
 
 /// Deterministic front-end `rand()` built from the same SplitMix stream
 /// as the machine's per-VP generator.
-pub(crate) fn front_end_rand(seed: u64) -> i64 {
+fn front_end_rand(seed: u64) -> i64 {
     let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

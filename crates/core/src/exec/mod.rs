@@ -20,14 +20,15 @@
 //!
 //! Submodules: `space` (iteration spaces and lifting), `expr`
 //! (expression evaluation), `access` (array access paths), `reduce`
-//! (reduction evaluation), `stmt` (statements and the four constructs).
+//! (reduction evaluation), `stmt` (statements and the four constructs),
+//! `inline` (whether a run may stay on the caller's thread).
 
 mod access;
 mod expr;
+mod inline;
 mod reduce;
 mod space;
 mod stmt;
-mod vm;
 
 use std::collections::HashMap;
 
@@ -42,11 +43,6 @@ use crate::sema::{self, Checked};
 use crate::span::Span;
 
 pub use space::ParCtx;
-
-// Shared scalar semantics, reused verbatim by the IR lowering/passes and
-// the register VM so both backends compute bit-identical values.
-pub(crate) use expr::{front_end_rand, scalar_binary, scalar_unary};
-pub(crate) use space::coerce_scalar;
 
 /// Native stack for the interpreter thread. Sized so the default
 /// [`ExecLimits::max_call_depth`] of 256 UC activations fits with wide
@@ -96,62 +92,6 @@ impl Default for ExecLimits {
     }
 }
 
-/// Which executor runs the front end of the program.
-///
-/// Both backends drive the same simulated machine through the same
-/// charged operations, so results, cycle counts, and budget behaviour
-/// are bit-identical; the difference is purely host-side speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// The original recursive AST tree-walker.
-    Ast,
-    /// The compiled register IR (see [`crate::ir`]): front-end control
-    /// flow and scalar arithmetic run on a flat bytecode interpreter;
-    /// parallel constructs execute through the same tree paths the AST
-    /// backend uses.
-    Ir,
-}
-
-impl ExecBackend {
-    /// Backend selected by the `UC_EXEC` environment variable:
-    /// `UC_EXEC=ast` forces the tree-walker, anything else (including
-    /// unset) selects the register IR.
-    pub fn from_env() -> ExecBackend {
-        match std::env::var("UC_EXEC").as_deref() {
-            Ok("ast") => ExecBackend::Ast,
-            _ => ExecBackend::Ir,
-        }
-    }
-}
-
-/// How aggressively the IR optimizer may rewrite the program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IrOpt {
-    /// Cycle-preserving passes only (constant folding, dead-store
-    /// elimination, jump threading on front-end instructions). The IR
-    /// backend stays bit-identical to the AST backend — same results,
-    /// same simulated cycles, same errors.
-    Balanced,
-    /// Additionally rewrite parallel constructs: dead-context
-    /// elimination (drop constant-false `st` arms, strip constant-true
-    /// predicates) and communication coalescing (merge adjacent `par`
-    /// constructs over the same index sets into one space setup). These
-    /// remove charged machine operations, so cycle counts may drop below
-    /// the AST backend's; results are unchanged.
-    Aggressive,
-}
-
-impl IrOpt {
-    /// Level selected by `UC_IR_OPT`: `aggressive` opts in, anything
-    /// else (including unset) keeps the cycle-preserving default.
-    pub fn from_env() -> IrOpt {
-        match std::env::var("UC_IR_OPT").as_deref() {
-            Ok("aggressive") => IrOpt::Aggressive,
-            _ => IrOpt::Balanced,
-        }
-    }
-}
-
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
@@ -170,11 +110,6 @@ pub struct ExecConfig {
     pub constfold: bool,
     /// Resource budgets (fuel, memory, recursion, loop caps, deadline).
     pub limits: ExecLimits,
-    /// Front-end executor: compiled register IR (default) or the AST
-    /// tree-walker. `Default` honours `UC_EXEC=ast`.
-    pub backend: ExecBackend,
-    /// IR optimization level. `Default` honours `UC_IR_OPT=aggressive`.
-    pub ir_opt: IrOpt,
 }
 
 impl Default for ExecConfig {
@@ -186,8 +121,6 @@ impl Default for ExecConfig {
             procopt: true,
             constfold: true,
             limits: ExecLimits::default(),
-            backend: ExecBackend::from_env(),
-            ir_opt: IrOpt::from_env(),
         }
     }
 }
@@ -327,11 +260,6 @@ pub(crate) enum LocalVar {
     ParField { field: FieldId, level: usize },
     /// Function-local array.
     Array(ArrayStorage),
-    /// A scalar that lives in the current frame's IR register file
-    /// ([`Frame::regs`]). The IR executor binds lowered locals by name so
-    /// tree-evaluated fragments (parallel constructs, array accesses)
-    /// resolve and assign them through the ordinary scope walk.
-    Slot(usize),
 }
 
 /// One lexical scope of a function body.
@@ -345,10 +273,6 @@ pub(crate) struct Scope {
 #[derive(Debug, Default)]
 pub(crate) struct Frame {
     pub scopes: Vec<Scope>,
-    /// Register file of the IR executor (empty for tree-walked frames).
-    /// Named locals occupy the low registers and are also reachable by
-    /// name through `scopes` via [`LocalVar::Slot`].
-    pub regs: Vec<Scalar>,
 }
 
 /// A compiled, runnable UC program.
@@ -364,14 +288,11 @@ pub struct Program {
     /// Iteration-space / array-shape VP sets, keyed by geometry.
     pub(crate) spaces: HashMap<Vec<usize>, VpSetId>,
     pub(crate) arrays: HashMap<String, ArrayStorage>,
-    /// Global scalar values, indexed storage: the IR loads and stores
-    /// globals by position, the name map serves resolution and the
-    /// public accessors.
-    pub(crate) globals: Vec<Scalar>,
-    pub(crate) global_index: HashMap<String, u32>,
-    /// Lowered register IR (always built; executed when
-    /// [`ExecConfig::backend`] is [`ExecBackend::Ir`]).
-    pub(crate) ir: Option<std::sync::Arc<crate::ir::IrProgram>>,
+    /// Global scalar values.
+    pub(crate) globals: HashMap<String, Scalar>,
+    /// Whether [`Program::run`] may stay on the caller's thread; see
+    /// `inline::runs_inline`.
+    pub(crate) inline: bool,
     /// Parallel-context stack (innermost last).
     pub(crate) ctx: Vec<ParCtx>,
     /// Function activation stack.
@@ -443,6 +364,7 @@ impl Program {
         if diags.has_errors() {
             return Err(diags);
         }
+        let inline = inline::runs_inline(&checked);
         let machine = Machine::new(MachineConfig {
             phys_procs: config.phys_procs,
             limits: MachineLimits {
@@ -457,9 +379,8 @@ impl Program {
             machine,
             spaces: HashMap::new(),
             arrays: HashMap::new(),
-            globals: Vec::new(),
-            global_index: HashMap::new(),
-            ir: None,
+            globals: HashMap::new(),
+            inline,
             ctx: Vec::new(),
             frames: Vec::new(),
             rand_counter: 0,
@@ -477,21 +398,7 @@ impl Program {
             d.error(crate::span::Span::default(), format!("allocation failed: {e}"));
             d
         })?;
-        p.ir = Some(std::sync::Arc::new(crate::ir::lower_program(
-            &p.checked,
-            &p.global_index,
-            p.config.ir_opt,
-        )));
         Ok(p)
-    }
-
-    /// The optimized register IR in its stable text form (`uc run
-    /// --emit ir`). See [`crate::ir`] for the format.
-    pub fn emit_ir(&self) -> String {
-        match &self.ir {
-            Some(ir) => crate::ir::text::render(ir),
-            None => String::new(),
-        }
     }
 
     fn allocate_globals(&mut self, maps: &[(String, ArrayMapping)]) -> RResult<()> {
@@ -518,24 +425,13 @@ impl Program {
             self.arrays
                 .insert(name, ArrayStorage { field, ty, shape: info.shape, mapping });
         }
-        let mut scalars: Vec<(String, (crate::ast::Type, Option<i64>))> = self
-            .checked
-            .scalars
-            .iter()
-            .map(|(n, i)| (n.clone(), *i))
-            .collect();
-        // Sorted so global indices (and the IR text that prints them) are
-        // deterministic across runs.
-        scalars.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, (ty, init)) in scalars {
+        for (name, (ty, init)) in &self.checked.scalars {
             let v = init.unwrap_or(0);
             let scalar = match ty {
                 crate::ast::Type::Float => Scalar::Float(v as f64),
                 _ => Scalar::Int(v),
             };
-            let idx = self.globals.len() as u32;
-            self.globals.push(scalar);
-            self.global_index.insert(name, idx);
+            self.globals.insert(name.clone(), scalar);
         }
         Ok(())
     }
@@ -567,18 +463,19 @@ impl Program {
         if let Some(ms) = self.config.limits.timeout_ms {
             self.machine.arm_deadline(ms);
         }
-        // The tree-walker recurses natively once per UC activation, which
-        // at the default 256-frame budget overruns a 2 MiB thread stack
-        // in debug builds; it runs on a dedicated thread with enough
-        // stack that the call-depth budget — not the host stack — is the
-        // limit. The IR executor keeps its activations on the heap and
-        // its native recursion bounded by statement nesting, so when the
-        // lowered program certifies that bound (`inline_ok`) the run
-        // stays on the calling thread — skipping the ~50 µs thread spawn
-        // that would otherwise dominate short repeated runs.
-        let inline = self.config.backend == ExecBackend::Ir
-            && self.ir.as_ref().is_some_and(|ir| ir.inline_ok);
-        let outcome = if inline {
+        // The tree-walker recurses natively once per AST level it enters
+        // and once per UC call. When the call graph reachable from `main`
+        // has no cycle and the summed AST depth along its deepest call
+        // chain is at most 96 (`inline::runs_inline`), the program text
+        // alone bounds that recursion — no input, loop count or call-depth
+        // budget can deepen it — and it fits a 2 MiB thread stack even in
+        // debug builds. Such a run stays on the calling thread and skips
+        // the ~50 µs spawn that would dominate short repeated runs.
+        // Otherwise (recursion, or deeper nesting) it runs on a dedicated
+        // thread with enough stack that the call-depth budget, not the
+        // host stack, is the limit: at the default 256 frames a 2 MiB
+        // stack overflows in debug builds.
+        let outcome = if self.inline {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_inner()))
         } else {
             std::thread::scope(|scope| {
@@ -622,9 +519,6 @@ impl Program {
     }
 
     fn run_inner(&mut self) -> RResult<()> {
-        if self.config.backend == ExecBackend::Ir && self.ir.is_some() {
-            return vm::run_main(self);
-        }
         let main: FuncDef = self
             .checked
             .funcs
@@ -717,12 +611,12 @@ impl Program {
 
     /// Read a global scalar variable.
     pub fn read_scalar(&self, name: &str) -> Option<Scalar> {
-        self.global_index.get(name).map(|&i| self.globals[i as usize])
+        self.globals.get(name).copied()
     }
 
     /// Names of all global scalar variables.
     pub fn scalar_names(&self) -> Vec<String> {
-        self.global_index.keys().cloned().collect()
+        self.globals.keys().cloned().collect()
     }
 
     /// Names of all global arrays.
@@ -732,7 +626,7 @@ impl Program {
 
     /// Read a global int scalar.
     pub fn read_int(&self, name: &str) -> Option<i64> {
-        self.global_index.get(name).map(|&i| self.globals[i as usize].as_int())
+        self.globals.get(name).map(|s| s.as_int())
     }
 
     /// The value of a `#define` constant after overrides.

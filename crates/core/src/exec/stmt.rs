@@ -37,7 +37,7 @@ impl Program {
             };
             scope.vars.insert(name.clone(), LocalVar::Scalar(coerce_scalar(v, ty)));
         }
-        self.frames.push(Frame { scopes: vec![scope], regs: Vec::new() });
+        self.frames.push(Frame { scopes: vec![scope] });
         // exec_span currently points at the calling statement — that is
         // the call site recorded for the error stack. Popped on success
         // only, so a failing run still shows where it was.
@@ -66,7 +66,7 @@ impl Program {
         }
     }
 
-    pub(crate) fn free_scope_vars(&mut self, scope: Scope) {
+    fn free_scope_vars(&mut self, scope: Scope) {
         for (_, var) in scope.vars {
             match var {
                 LocalVar::ParField { field, .. } => {
@@ -75,7 +75,7 @@ impl Program {
                 LocalVar::Array(st) => {
                     let _ = self.machine.free(st.field);
                 }
-                LocalVar::Scalar(_) | LocalVar::Slot(_) => {}
+                LocalVar::Scalar(_) => {}
             }
         }
     }
@@ -107,7 +107,7 @@ impl Program {
 
     /// Source span of a statement, when it carries one. `None` keeps the
     /// enclosing statement's span (blocks, `;`).
-    pub(crate) fn stmt_span(s: &Stmt) -> Option<crate::span::Span> {
+    fn stmt_span(s: &Stmt) -> Option<crate::span::Span> {
         match s {
             Stmt::Expr(e) => Some(e.span()),
             Stmt::Decl(v) => Some(v.span),

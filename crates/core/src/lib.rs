@@ -48,7 +48,6 @@ pub mod ast;
 pub mod cstar_emit;
 pub mod diag;
 pub mod exec;
-pub mod ir;
 pub mod lexer;
 pub mod mapping;
 pub mod opt;
@@ -60,5 +59,5 @@ pub mod stdlib;
 pub mod token;
 
 pub use diag::{Diagnostic, Diagnostics, Severity};
-pub use exec::{ExecBackend, ExecConfig, ExecLimits, IrOpt, Program, RunError, RuntimeError};
+pub use exec::{ExecConfig, ExecLimits, Program, RunError, RuntimeError};
 pub use span::Span;

@@ -15,6 +15,15 @@ use crate::lexer::{lex, LexOutput};
 use crate::span::Span;
 use crate::token::{Token, TokenKind, TokenKind as T};
 
+/// Deepest nesting of statements and expressions the parser accepts.
+/// Folding, sema, the lint passes and the tree-walking executor all
+/// recurse once per level, so this cap is what keeps deeply nested input
+/// from overflowing the host stack. One level is a statement, an
+/// expression (so each pair of parentheses), an assignment's value, a
+/// prefix operator, a conditional's `else` arm, or one operator of a
+/// binary chain such as `a + b + c`.
+pub const MAX_NESTING: usize = 128;
+
 /// Parse a UC translation unit. Returns `None` if errors were found (all
 /// recorded in `diags`).
 pub fn parse(src: &str, diags: &mut Diagnostics) -> Option<Unit> {
@@ -22,8 +31,12 @@ pub fn parse(src: &str, diags: &mut Diagnostics) -> Option<Unit> {
     if diags.has_errors() {
         return None;
     }
-    let mut p = Parser { tokens, pos: 0, diags };
+    let mut p = Parser { tokens, pos: 0, depth: 0, too_deep: None, diags };
     let unit = p.unit(defines);
+    if let Some(n) = p.too_deep {
+        // Drop the cascade of errors reported while unwinding to the end.
+        p.diags.items.truncate(n);
+    }
     if p.diags.has_errors() {
         None
     } else {
@@ -34,6 +47,11 @@ pub fn parse(src: &str, diags: &mut Diagnostics) -> Option<Unit> {
 struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting level (see [`MAX_NESTING`]). Error recovery
+    /// restores it, so only successful parses need to unwind it.
+    depth: usize,
+    /// Number of diagnostics once nesting went past [`MAX_NESTING`].
+    too_deep: Option<usize>,
     diags: &'a mut Diagnostics,
 }
 
@@ -100,6 +118,28 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Enter one more nesting level. Past [`MAX_NESTING`], report it and
+    /// skip to the end of input: nothing after it can be parsed safely.
+    fn descend(&mut self) -> PResult<()> {
+        if self.depth == MAX_NESTING {
+            let msg = format!("statements and expressions nest deeper than {MAX_NESTING} levels");
+            self.diags.error(self.span(), msg);
+            self.too_deep = Some(self.diags.items.len());
+            self.pos = self.tokens.len() - 1;
+            return Err(());
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parse with `f` one nesting level deeper.
+    fn nested<R>(&mut self, f: impl FnOnce(&mut Self) -> PResult<R>) -> PResult<R> {
+        self.descend()?;
+        let r = f(self)?;
+        self.depth -= 1;
+        Ok(r)
+    }
+
     /// Skip to the next statement boundary after an error.
     fn synchronize(&mut self) {
         loop {
@@ -124,7 +164,10 @@ impl<'a> Parser<'a> {
             let before = self.pos;
             match self.item() {
                 Ok(batch) => items.extend(batch),
-                Err(()) => self.synchronize(),
+                Err(()) => {
+                    self.depth = 0;
+                    self.synchronize();
+                }
             }
             // `synchronize` stops *before* `}` (it must not eat the brace
             // when recovering inside a block), so a stray `}` at top level
@@ -314,6 +357,7 @@ impl<'a> Parser<'a> {
     fn block(&mut self) -> PResult<Block> {
         self.expect(&T::LBrace, "`{`")?;
         let mut stmts = Vec::new();
+        let depth = self.depth;
         while !self.at(&T::RBrace) && !self.at(&T::Eof) {
             // Parse declarations here (not via `stmt`) so a multi-
             // declarator `int x, y;` contributes every name to *this*
@@ -323,6 +367,7 @@ impl<'a> Parser<'a> {
                 _ => self.stmt().map(|s| stmts.push(s)),
             };
             if parsed.is_err() {
+                self.depth = depth;
                 self.synchronize();
             }
         }
@@ -341,6 +386,10 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.nested(Self::stmt_at_level)
+    }
+
+    fn stmt_at_level(&mut self) -> PResult<Stmt> {
         let span = self.span();
         match self.peek() {
             T::Semi => {
@@ -476,7 +525,7 @@ impl<'a> Parser<'a> {
     // ---- expressions -------------------------------------------------------
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.assignment()
+        self.nested(Self::assignment)
     }
 
     fn assignment(&mut self) -> PResult<Expr> {
@@ -496,7 +545,7 @@ impl<'a> Parser<'a> {
             self.diags.error(lhs.span(), "assignment target must be a variable or array element");
             return Err(());
         }
-        let value = self.assignment()?; // right associative
+        let value = self.expr()?; // right associative
         Ok(Expr::Assign {
             target: Box::new(lhs),
             op,
@@ -511,7 +560,7 @@ impl<'a> Parser<'a> {
             let span = self.prev_span();
             let then_e = self.expr()?;
             self.expect(&T::Colon, "`:` in conditional expression")?;
-            let else_e = self.ternary()?;
+            let else_e = self.nested(Self::ternary)?;
             Ok(Expr::Ternary {
                 cond: Box::new(cond),
                 then_e: Box::new(then_e),
@@ -526,6 +575,7 @@ impl<'a> Parser<'a> {
     /// Precedence-climbing binary expression parser (C precedence).
     fn binary(&mut self, min_prec: u8) -> PResult<Expr> {
         let mut lhs = self.unary()?;
+        let mut links = 0;
         loop {
             let (op, prec) = match self.peek() {
                 T::Star => (BinaryOp::Mul, 10),
@@ -553,9 +603,13 @@ impl<'a> Parser<'a> {
             }
             let span = self.span();
             self.bump();
+            // Each operator nests the chain so far one level deeper.
+            self.descend()?;
+            links += 1;
             let rhs = self.binary(prec + 1)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
         }
+        self.depth -= links;
         Ok(lhs)
     }
 
@@ -564,26 +618,26 @@ impl<'a> Parser<'a> {
         match self.peek() {
             T::Minus => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e), span })
             }
             T::Bang => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(e), span })
             }
             T::Tilde => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 Ok(Expr::Unary { op: UnaryOp::BitNot, expr: Box::new(e), span })
             }
             T::Plus => {
                 self.bump();
-                self.unary()
+                self.nested(Self::unary)
             }
             T::PlusPlus | T::MinusMinus => {
                 let op = if self.bump() == T::PlusPlus { BinaryOp::Add } else { BinaryOp::Sub };
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 self.desugar_incdec(e, op, span)
             }
             _ => self.postfix(),
@@ -879,6 +933,15 @@ mod tests {
     fn error_recovery_collects_multiple() {
         let d = parse_err("int a[;\nint b(;\n");
         assert!(d.items.len() >= 2);
+    }
+
+    #[test]
+    fn error_recovery_restores_the_nesting_level() {
+        // Each statement fails 6 levels deep; recovery must not let those
+        // levels pile up into a spurious nesting error.
+        let d = parse_err(&format!("int x;\nmain() {{ {} }}", "{ x = ((((1 + ; } ".repeat(60)));
+        assert_eq!(d.items.len(), 60, "{d}");
+        assert!(d.items.iter().all(|i| !i.message.contains("nest")), "{d}");
     }
 
     #[test]

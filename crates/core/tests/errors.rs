@@ -1,6 +1,7 @@
 //! Error behaviour: compile-time diagnostics and runtime failures, each
 //! exercising a rule of the paper.
 
+use uc_core::parser::MAX_NESTING;
 use uc_core::{Program, RuntimeError};
 
 fn compile_err(src: &str) -> String {
@@ -16,6 +17,47 @@ fn runtime_err(src: &str) -> RuntimeError {
 }
 
 // ---- compile-time -----------------------------------------------------------
+
+/// `x = 1;` in `main`, inside `blocks` nested braces and `parens` nested
+/// parentheses. The statement, its expression and the assigned value take
+/// three nesting levels; each brace and each parenthesis pair one more.
+fn nested_program(blocks: usize, parens: usize) -> String {
+    format!(
+        "int x;\nmain() {{ {}x = {}1{};{} }}\n",
+        "{".repeat(blocks),
+        "(".repeat(parens),
+        ")".repeat(parens),
+        "}".repeat(blocks)
+    )
+}
+
+#[test]
+fn nesting_at_the_cap_compiles_and_runs() {
+    let levels = MAX_NESTING - 3;
+    for (blocks, parens) in [(levels, 0), (0, levels), (levels / 2, levels - levels / 2)] {
+        let src = nested_program(blocks, parens);
+        let mut p = Program::compile(&src).unwrap_or_else(|d| panic!("compile failed:\n{d}"));
+        p.run().unwrap();
+        assert_eq!(p.read_int("x"), Some(1), "{blocks} blocks, {parens} parens");
+    }
+}
+
+#[test]
+fn nesting_past_the_cap_is_one_diagnostic() {
+    let levels = MAX_NESTING - 2;
+    let flat_chain = format!("int x, y;\nmain() {{ x = {}; }}\n", vec!["y"; 100_000].join(" + "));
+    for src in [
+        nested_program(levels, 0),
+        nested_program(0, levels),
+        nested_program(10_000, 0),
+        nested_program(0, 5_000),
+        flat_chain,
+    ] {
+        let msg = compile_err(&src);
+        assert!(msg.contains(&format!("nest deeper than {MAX_NESTING} levels")), "{msg}");
+        assert_eq!(msg.lines().count(), 1, "{msg}");
+    }
+}
 
 #[test]
 fn goto_is_rejected() {

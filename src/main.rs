@@ -6,14 +6,6 @@
 //! uc emit-cstar <file.uc>                        print the C* translation (§5)
 //! ```
 //!
-//! `run` and `check` both accept `--emit ir`, which prints the compiled
-//! register IR (see `uc_core::ir`) instead of running the program. The
-//! executor backend is chosen by the `UC_EXEC` environment variable
-//! (`ast` forces the tree-walker; default is the register IR — results
-//! are bit-identical either way), and `UC_IR_OPT=aggressive` opts into
-//! IR rewrites that eliminate dead parallel contexts and coalesce
-//! adjacent `par` statements (same results, possibly fewer cycles).
-//!
 //! `run` resource limits (see `ExecLimits` for the semantics):
 //!
 //! ```text
@@ -64,10 +56,7 @@ fn main() -> ExitCode {
         Some((c, r)) => (c.as_str(), r),
         None => {
             eprintln!("usage: uc <run|check|emit-cstar> <file.uc> [options]");
-            eprintln!("  --emit ir          (run, check) print the compiled register IR instead of running");
             eprintln!("  env UC_THREADS=N   simulator thread count (default: all cores; results identical for any N)");
-            eprintln!("  env UC_EXEC=ast    run on the AST tree-walker instead of the register IR (same results)");
-            eprintln!("  env UC_IR_OPT=aggressive   enable cycle-reducing IR rewrites of parallel constructs");
             return ExitCode::FAILURE;
         }
     };
@@ -75,7 +64,6 @@ fn main() -> ExitCode {
     let mut defines: Vec<(String, i64)> = Vec::new();
     let mut cfg = LintConfig::default();
     let mut format = Format::Text;
-    let mut emit_ir = false;
     let mut exec_cfg = ExecConfig::default();
     let mut it = rest.iter();
     while let Some(a) = it.next() {
@@ -115,17 +103,6 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 }
-            }
-            "--emit" if cmd == "run" || cmd == "check" => {
-                let Some(what) = it.next() else {
-                    eprintln!("error: --emit needs `ir`");
-                    return ExitCode::FAILURE;
-                };
-                if what != "ir" {
-                    eprintln!("error: --emit {what}: only `ir` is supported");
-                    return ExitCode::FAILURE;
-                }
-                emit_ir = true;
             }
             "--deny" if cmd == "check" => {
                 let Some(what) = it.next() else {
@@ -189,7 +166,7 @@ fn main() -> ExitCode {
         defines.iter().map(|(n, v)| (n.as_str(), *v)).collect();
 
     if cmd == "check" {
-        return check(path, &src, &define_refs, &cfg, format, emit_ir);
+        return check(path, &src, &define_refs, &cfg, format);
     }
 
     let program = Program::compile_with_defines(&src, exec_cfg, &define_refs);
@@ -207,10 +184,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "run" => {
-            if emit_ir {
-                print!("{}", program.emit_ir());
-                return ExitCode::SUCCESS;
-            }
             // Contain internal panics: Program::run catches them and
             // reports RuntimeError::Internal; the hook keeps the default
             // "thread panicked" banner off stderr and saves the location.
@@ -281,24 +254,8 @@ fn check(
     defines: &[(&str, i64)],
     cfg: &LintConfig,
     format: Format,
-    emit_ir: bool,
 ) -> ExitCode {
     let diags = analysis::check_source(src, defines, cfg);
-    if emit_ir && !diags.has_errors() {
-        // Lints passed: print the compiled register IR instead of the
-        // usual summary line.
-        eprint!("{diags}");
-        return match Program::compile_with_defines(src, ExecConfig::default(), defines) {
-            Ok(p) => {
-                print!("{}", p.emit_ir());
-                ExitCode::SUCCESS
-            }
-            Err(diags) => {
-                eprint!("{}", diags.render_with_path(path));
-                ExitCode::FAILURE
-            }
-        };
-    }
     match format {
         Format::Json => println!("{}", analysis::diagnostics_to_json(&diags)),
         Format::Text => {

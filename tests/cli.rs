@@ -250,6 +250,23 @@ fn examples_stay_lint_clean_and_run() {
     assert!(seen >= 3, "expected at least 3 UC examples, found {seen}");
 }
 
+/// Input nested far past the parser's cap ends in one diagnostic from
+/// both commands, never a stack overflow.
+#[test]
+fn deep_nesting_is_a_diagnostic_not_a_crash() {
+    let parens = format!("int x;\nmain() {{ x = {}1{}; }}\n", "(".repeat(5_000), ")".repeat(5_000));
+    let blocks = format!("int x;\nmain() {}x = 1;{}\n", "{".repeat(10_000), "}".repeat(10_000));
+    for (name, src) in [("uc_cli_deep_parens.uc", parens), ("uc_cli_deep_blocks.uc", blocks)] {
+        let path = write_temp(name, &src);
+        for cmd in ["run", "check"] {
+            let out = uc().args([cmd, path.to_str().unwrap()]).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("nest deeper than"), "{cmd} {name}: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn usage_errors() {
     let out = uc().output().unwrap();
