@@ -106,7 +106,7 @@ impl Geometry {
     }
 
     /// The coordinate of `addr` along a single axis, without materialising
-    /// the whole coordinate vector. Used heavily by NEWS shifts.
+    /// the whole coordinate vector.
     #[inline]
     pub fn axis_coordinate(&self, addr: usize, axis: usize) -> Result<usize> {
         let s = self.stride(axis)?;
@@ -122,10 +122,10 @@ impl Geometry {
         let s = self.stride(axis)?;
         let d = self.extent(axis)? as i64;
         let c = ((addr / s) % d as usize) as i64;
-        let nc = c + offset;
-        if nc < 0 || nc >= d {
+        // An overflowing coordinate is off the grid too.
+        let Some(nc) = c.checked_add(offset).filter(|nc| (0..d).contains(nc)) else {
             return Ok(None);
-        }
+        };
         let delta = (nc - c) * s as i64;
         Ok(Some((addr as i64 + delta) as usize))
     }
@@ -136,7 +136,8 @@ impl Geometry {
         let s = self.stride(axis)?;
         let d = self.extent(axis)? as i64;
         let c = ((addr / s) % d as usize) as i64;
-        let nc = (c + offset).rem_euclid(d);
+        // Reduce the offset first: `c + offset` could overflow.
+        let nc = (c + (offset.rem_euclid(d) - d)).rem_euclid(d);
         let delta = (nc - c) * s as i64;
         Ok((addr as i64 + delta) as usize)
     }
@@ -208,6 +209,16 @@ mod tests {
         assert_eq!(g.neighbor_wrap(8, 1, 1).unwrap(), 6);
         assert_eq!(g.neighbor_wrap(4, 0, 3).unwrap(), 4); // full loop
         assert_eq!(g.neighbor_wrap(4, 1, -4).unwrap(), 3);
+    }
+
+    #[test]
+    fn extreme_offsets_do_not_overflow() {
+        let g = Geometry::new(&[3, 3]).unwrap();
+        assert_eq!(g.neighbor(4, 0, i64::MAX).unwrap(), None);
+        assert_eq!(g.neighbor(4, 1, i64::MIN).unwrap(), None);
+        // i64::MAX = 1 (mod 3), i64::MIN = 1 (mod 3).
+        assert_eq!(g.neighbor_wrap(4, 0, i64::MAX).unwrap(), 7);
+        assert_eq!(g.neighbor_wrap(4, 1, i64::MIN).unwrap(), 5);
     }
 
     #[test]

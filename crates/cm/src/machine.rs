@@ -70,7 +70,7 @@ pub(crate) const MAX_POOL: usize = 32;
 /// Buffers are checked out with `take_*` and returned with `put_*`; the
 /// pool keeps their capacity alive so steady-state operations allocate
 /// nothing. Freed field storage is retired here too, making
-/// alloc/free-heavy executor code (e.g. `binop_imm` temporaries)
+/// alloc/free-heavy executor code (e.g. per-expression temporaries)
 /// allocation-free after warm-up.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
@@ -340,7 +340,7 @@ impl Default for MachineConfig {
 
 /// Bytes of storage one element of `ty` occupies in a field.
 #[inline]
-fn elem_bytes(ty: ElemType) -> u64 {
+pub(crate) fn elem_bytes(ty: ElemType) -> u64 {
     match ty {
         ElemType::Int | ElemType::Float => 8,
         ElemType::Bool => 1,
@@ -436,7 +436,7 @@ impl Machine {
     /// Reserve `bytes` against the memory budget, trapping *before* any
     /// allocation happens.
     #[inline]
-    fn charge_mem(&mut self, bytes: u64) -> Result<()> {
+    pub(crate) fn charge_mem(&mut self, bytes: u64) -> Result<()> {
         let new = self.mem_bytes.saturating_add(bytes);
         if new > self.mem_limit {
             return Err(CmError::MemoryLimitExceeded { requested: bytes, limit: self.mem_limit });
@@ -446,7 +446,7 @@ impl Machine {
     }
 
     #[inline]
-    fn release_mem(&mut self, bytes: u64) {
+    pub(crate) fn release_mem(&mut self, bytes: u64) {
         self.mem_bytes = self.mem_bytes.saturating_sub(bytes);
     }
 

@@ -6,11 +6,24 @@
 //! geometry and any constant offset (offset ±1 is one NEWS hop; larger
 //! offsets model repeated hops but are charged once — the UC compiler emits
 //! power-of-two shift chains itself where it matters).
+//!
+//! On the host a shift is one pass of contiguous copies. Row-major layout
+//! cuts a field into blocks of `extent · stride` elements, one per line
+//! along the axis, and a shift moves every block the same way: its
+//! destinations read one contiguous source run `offset · stride` elements
+//! away, and only the `|offset| · stride` border elements take the wrap,
+//! fill or keep policy. `shift_spans` builds that plan once per
+//! instruction; `par::shift_masked` runs it. Offsets are reduced (wrap)
+//! or clamped (fill, keep) to the extent before any arithmetic, so every
+//! `i64` offset is safe.
+//!
+//! The shift charges its NEWS cycle *after* the data moves, like the
+//! router and scan ops.
 
 use crate::cost::OpClass;
 use crate::field::{FieldData, FieldId};
 use crate::machine::Machine;
-use crate::par;
+use crate::par::{self, ShiftSpan};
 use crate::{CmError, Result, Scalar};
 
 /// What an off-grid fetch produces for non-toroidal shifts.
@@ -41,8 +54,8 @@ impl Machine {
         if dst.vp != src.vp {
             return Err(CmError::VpSetMismatch);
         }
-        self.vp(dst.vp)?.geom.extent(axis)?; // validate axis
-        let size = self.vp(dst.vp)?.geom.size();
+        let geom = &self.vp(dst.vp)?.geom;
+        let (size, stride, extent) = (geom.size(), geom.stride(axis)?, geom.extent(axis)?);
 
         let dst_ty = self.field(dst)?.elem_type();
         let src_ty = self.field(src)?.elem_type();
@@ -55,59 +68,31 @@ impl Machine {
             }
         }
 
+        let spans = shift_spans(extent, stride, offset, border);
+        let block = extent * stride;
+
         // An in-place shift reads a scratch copy of the pre-shift values.
         let tmp = if src == dst { Some(self.scratch_copy(dst)?) } else { None };
         let res: Result<()> = (|| {
             let (d, peers) = self.split_dst(dst)?;
             let mask = peers.mask(dst.vp)?;
-            let geom = peers.geom(dst.vp)?;
             let sdata =
                 if src == dst { tmp.as_ref().expect("alias copied") } else { peers.src(src)? };
-            // The source address of destination VP `p`; `None` is off-grid
-            // (resolved per the border policy). Resolved on the fly — no
-            // precomputed address vector.
-            let source = |p: usize| -> Option<usize> {
-                match border {
-                    Border::Wrap => {
-                        Some(geom.neighbor_wrap(p, axis, offset).expect("axis checked"))
-                    }
-                    _ => geom.neighbor(p, axis, offset).expect("axis checked"),
-                }
+            let fill = match border {
+                Border::Fill(s) => Some(s),
+                Border::Wrap | Border::Keep => None,
             };
-            macro_rules! shift {
-                ($variant:ident, $fill:expr) => {{
-                    let FieldData::$variant(d) = d else { unreachable!() };
-                    let FieldData::$variant(s) = sdata else { unreachable!() };
-                    let fill = $fill;
-                    par::update_index_masked(d, mask, |p, old| match source(p) {
-                        Some(q) => s[q],
-                        // Border::Keep retains the old destination value.
-                        None => fill.unwrap_or(old),
-                    });
-                }};
-            }
-            match dst_ty {
-                crate::field::ElemType::Int => shift!(
-                    I64,
-                    match border {
-                        Border::Fill(s) => Some(s.as_int()),
-                        _ => None,
-                    }
-                ),
-                crate::field::ElemType::Float => shift!(
-                    F64,
-                    match border {
-                        Border::Fill(s) => Some(s.as_float()),
-                        _ => None,
-                    }
-                ),
-                crate::field::ElemType::Bool => shift!(
-                    Bool,
-                    match border {
-                        Border::Fill(s) => Some(s.as_bool()),
-                        _ => None,
-                    }
-                ),
+            match (d, sdata) {
+                (FieldData::I64(d), FieldData::I64(s)) => {
+                    par::shift_masked(d, s, mask, block, &spans, fill.map(Scalar::as_int))
+                }
+                (FieldData::F64(d), FieldData::F64(s)) => {
+                    par::shift_masked(d, s, mask, block, &spans, fill.map(Scalar::as_float))
+                }
+                (FieldData::Bool(d), FieldData::Bool(s)) => {
+                    par::shift_masked(d, s, mask, block, &spans, fill.map(Scalar::as_bool))
+                }
+                _ => unreachable!("types validated above"),
             }
             Ok(())
         })();
@@ -118,6 +103,39 @@ impl Machine {
 
         self.tick(OpClass::News, size)?;
         Ok(())
+    }
+}
+
+/// The per-block plan of a shift by `offset` along an axis of `extent`
+/// coordinates spaced `stride` elements apart: a run of destinations that
+/// copy a contiguous source run, then (or, for negative offsets, after)
+/// the destinations off the grid. `Wrap` makes both spans copies.
+pub(crate) fn shift_spans(
+    extent: usize,
+    stride: usize,
+    offset: i64,
+    border: Border,
+) -> [ShiftSpan; 2] {
+    let block = extent * stride;
+    if matches!(border, Border::Wrap) {
+        // `extent` fits in i64 (geometries are capped at i64::MAX VPs).
+        let k = offset.rem_euclid(extent as i64) as usize * stride;
+        return [
+            ShiftSpan { start: 0, end: block - k, from: Some(k) },
+            ShiftSpan { start: block - k, end: block, from: Some(0) },
+        ];
+    }
+    let k = offset.unsigned_abs().min(extent as u64) as usize * stride;
+    if offset >= 0 {
+        [
+            ShiftSpan { start: 0, end: block - k, from: Some(k) },
+            ShiftSpan { start: block - k, end: block, from: None },
+        ]
+    } else {
+        [
+            ShiftSpan { start: 0, end: k, from: None },
+            ShiftSpan { start: k, end: block, from: Some(0) },
+        ]
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::cost::OpClass;
 use crate::field::{ElemType, FieldData, FieldId};
-use crate::machine::Machine;
+use crate::machine::{elem_bytes, Machine, VpSetId};
 use crate::par;
 use crate::{CmError, Result, Scalar};
 
@@ -82,61 +82,141 @@ pub enum UnOp {
     Abs,
 }
 
-#[inline]
-fn int_binop(op: BinOp, a: i64, b: i64) -> i64 {
-    match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => a.wrapping_div(b),
-        BinOp::Mod => a.wrapping_rem(b),
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
-        BinOp::BitAnd => a & b,
-        BinOp::BitOr => a | b,
-        BinOp::BitXor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32),
-        BinOp::Shr => a.wrapping_shr(b as u32),
-        _ => unreachable!("non-arithmetic op dispatched to int_binop"),
+/// One operand of a binary op: a field, or an immediate that reaches the
+/// kernel as a [`par::Splat`].
+#[derive(Debug, Clone, Copy)]
+enum Arg {
+    Field(FieldId),
+    Imm(Scalar),
+}
+
+/// A resolved [`Arg`]: field storage, or the immediate itself.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    Field(&'a FieldData),
+    Imm(Scalar),
+}
+
+/// A typed kernel operand. At least one operand of a binop is a slice.
+#[derive(Clone, Copy)]
+enum Opnd<'a, T> {
+    Slice(&'a [T]),
+    Splat(T),
+}
+
+impl<'a> Src<'a> {
+    fn ints(self) -> Opnd<'a, i64> {
+        match self {
+            Src::Field(FieldData::I64(v)) => Opnd::Slice(v),
+            Src::Imm(Scalar::Int(x)) => Opnd::Splat(x),
+            _ => unreachable!("operand types validated by binop"),
+        }
+    }
+
+    fn floats(self) -> Opnd<'a, f64> {
+        match self {
+            Src::Field(FieldData::F64(v)) => Opnd::Slice(v),
+            Src::Imm(Scalar::Float(x)) => Opnd::Splat(x),
+            _ => unreachable!("operand types validated by binop"),
+        }
+    }
+
+    fn bools(self) -> Opnd<'a, bool> {
+        match self {
+            Src::Field(FieldData::Bool(v)) => Opnd::Slice(v),
+            Src::Imm(Scalar::Bool(x)) => Opnd::Splat(x),
+            _ => unreachable!("operand types validated by binop"),
+        }
     }
 }
 
-#[inline]
-fn float_binop(op: BinOp, a: f64, b: f64) -> f64 {
-    match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
-        _ => unreachable!("non-float op dispatched to float_binop"),
+/// A binop over element type `T`, run once per instruction with the
+/// operand shapes fixed, so each (op, shape) gets its own tight loop.
+trait Kernel2<T> {
+    fn run<X: par::Operand<T>, Y: par::Operand<T>>(self, x: X, y: Y);
+}
+
+/// Pick the kernel instance for the operands' shapes and run it.
+fn run2<T: Copy + Sync, K: Kernel2<T>>(k: K, x: Opnd<'_, T>, y: Opnd<'_, T>) {
+    match (x, y) {
+        (Opnd::Slice(x), Opnd::Slice(y)) => k.run(x, y),
+        (Opnd::Slice(x), Opnd::Splat(y)) => k.run(x, par::Splat(y)),
+        (Opnd::Splat(x), Opnd::Slice(y)) => k.run(par::Splat(x), y),
+        (Opnd::Splat(_), Opnd::Splat(_)) => unreachable!("a binop has a field operand"),
     }
 }
 
-#[inline]
-fn int_cmp(op: BinOp, a: i64, b: i64) -> bool {
-    match op {
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        _ => unreachable!(),
+/// The destination side of a binop: op, storage and activity mask.
+struct Dst<'a> {
+    op: BinOp,
+    data: &'a mut FieldData,
+    mask: &'a [bool],
+}
+
+impl Kernel2<i64> for Dst<'_> {
+    fn run<X: par::Operand<i64>, Y: par::Operand<i64>>(self, x: X, y: Y) {
+        let m = self.mask;
+        match (self.op, self.data) {
+            (BinOp::Add, FieldData::I64(d)) => par::zip2_masked(d, x, y, m, i64::wrapping_add),
+            (BinOp::Sub, FieldData::I64(d)) => par::zip2_masked(d, x, y, m, i64::wrapping_sub),
+            (BinOp::Mul, FieldData::I64(d)) => par::zip2_masked(d, x, y, m, i64::wrapping_mul),
+            // Division traps on a zero divisor: evaluate active VPs only.
+            (BinOp::Div, FieldData::I64(d)) => par::zip2_guarded(d, x, y, m, i64::wrapping_div),
+            (BinOp::Mod, FieldData::I64(d)) => par::zip2_guarded(d, x, y, m, i64::wrapping_rem),
+            (BinOp::Min, FieldData::I64(d)) => par::zip2_masked(d, x, y, m, |a: i64, b| a.min(b)),
+            (BinOp::Max, FieldData::I64(d)) => par::zip2_masked(d, x, y, m, |a: i64, b| a.max(b)),
+            (BinOp::BitAnd, FieldData::I64(d)) => par::zip2_masked(d, x, y, m, |a, b| a & b),
+            (BinOp::BitOr, FieldData::I64(d)) => par::zip2_masked(d, x, y, m, |a, b| a | b),
+            (BinOp::BitXor, FieldData::I64(d)) => par::zip2_masked(d, x, y, m, |a, b| a ^ b),
+            (BinOp::Shl, FieldData::I64(d)) => {
+                par::zip2_masked(d, x, y, m, |a: i64, b| a.wrapping_shl(b as u32))
+            }
+            (BinOp::Shr, FieldData::I64(d)) => {
+                par::zip2_masked(d, x, y, m, |a: i64, b| a.wrapping_shr(b as u32))
+            }
+            (BinOp::Eq, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a == b),
+            (BinOp::Ne, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a != b),
+            (BinOp::Lt, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a < b),
+            (BinOp::Le, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a <= b),
+            (BinOp::Gt, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a > b),
+            (BinOp::Ge, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a >= b),
+            _ => unreachable!("int op validated by binop"),
+        }
     }
 }
 
-#[inline]
-fn float_cmp(op: BinOp, a: f64, b: f64) -> bool {
-    match op {
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        _ => unreachable!(),
+impl Kernel2<f64> for Dst<'_> {
+    fn run<X: par::Operand<f64>, Y: par::Operand<f64>>(self, x: X, y: Y) {
+        let m = self.mask;
+        match (self.op, self.data) {
+            (BinOp::Add, FieldData::F64(d)) => par::zip2_masked(d, x, y, m, |a, b| a + b),
+            (BinOp::Sub, FieldData::F64(d)) => par::zip2_masked(d, x, y, m, |a, b| a - b),
+            (BinOp::Mul, FieldData::F64(d)) => par::zip2_masked(d, x, y, m, |a, b| a * b),
+            (BinOp::Div, FieldData::F64(d)) => par::zip2_masked(d, x, y, m, |a, b| a / b),
+            (BinOp::Min, FieldData::F64(d)) => par::zip2_masked(d, x, y, m, f64::min),
+            (BinOp::Max, FieldData::F64(d)) => par::zip2_masked(d, x, y, m, f64::max),
+            (BinOp::Eq, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a == b),
+            (BinOp::Ne, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a != b),
+            (BinOp::Lt, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a < b),
+            (BinOp::Le, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a <= b),
+            (BinOp::Gt, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a > b),
+            (BinOp::Ge, FieldData::Bool(d)) => par::zip2_masked(d, x, y, m, |a, b| a >= b),
+            _ => unreachable!("float op validated by binop"),
+        }
+    }
+}
+
+impl Kernel2<bool> for Dst<'_> {
+    fn run<X: par::Operand<bool>, Y: par::Operand<bool>>(self, x: X, y: Y) {
+        let m = self.mask;
+        let FieldData::Bool(d) = self.data else { unreachable!("bool ops yield bool") };
+        match self.op {
+            BinOp::LogAnd => par::zip2_masked(d, x, y, m, |a, b| a & b),
+            BinOp::LogOr => par::zip2_masked(d, x, y, m, |a, b| a | b),
+            BinOp::LogXor | BinOp::Ne => par::zip2_masked(d, x, y, m, |a, b| a ^ b),
+            BinOp::Eq => par::zip2_masked(d, x, y, m, |a, b| a == b),
+            _ => unreachable!("bool op validated by binop"),
+        }
     }
 }
 
@@ -308,8 +388,57 @@ impl Machine {
 
     /// Binary elementwise op: `dst[i] = a[i] op b[i]` for active `i`.
     pub fn binop(&mut self, op: BinOp, dst: FieldId, a: FieldId, b: FieldId) -> Result<()> {
-        let size = self.same_vp(&[dst, a, b])?;
-        let (ta, tb) = (self.field(a)?.elem_type(), self.field(b)?.elem_type());
+        self.binop_args(op, dst, Arg::Field(a), Arg::Field(b))
+    }
+
+    /// `dst[i] = a[i] op imm` for active `i`.
+    pub fn binop_imm(&mut self, op: BinOp, dst: FieldId, a: FieldId, imm: Scalar) -> Result<()> {
+        self.with_imm(a.vp, imm, |m| m.binop_args(op, dst, Arg::Field(a), Arg::Imm(imm)))
+    }
+
+    /// `dst[i] = imm op b[i]` for active `i` (immediate on the left, for
+    /// non-commutative ops).
+    pub fn binop_imm_l(&mut self, op: BinOp, dst: FieldId, imm: Scalar, b: FieldId) -> Result<()> {
+        self.with_imm(b.vp, imm, |m| m.binop_args(op, dst, Arg::Imm(imm), Arg::Field(b)))
+    }
+
+    /// Run `f` under the cost of broadcasting `imm` over `vp`: the storage
+    /// of an immediate field is held against the memory budget for the
+    /// duration, and the broadcast is charged one ALU instruction first.
+    /// The immediate itself reaches the kernel as a splat; no field is
+    /// built. The charge is released on every path, errors included.
+    fn with_imm(
+        &mut self,
+        vp: VpSetId,
+        imm: Scalar,
+        f: impl FnOnce(&mut Self) -> Result<()>,
+    ) -> Result<()> {
+        let size = self.vp_size(vp)?;
+        let bytes = (size as u64).saturating_mul(elem_bytes(imm.elem_type()));
+        self.charge_mem(bytes)?;
+        let res = self.tick(OpClass::Alu, size).and_then(|()| f(self));
+        self.release_mem(bytes);
+        res
+    }
+
+    fn arg_type(&self, arg: Arg) -> Result<ElemType> {
+        match arg {
+            Arg::Field(id) => Ok(self.field(id)?.elem_type()),
+            Arg::Imm(s) => Ok(s.elem_type()),
+        }
+    }
+
+    /// The shared body of `binop`, `binop_imm` and `binop_imm_l`.
+    fn binop_args(&mut self, op: BinOp, dst: FieldId, a: Arg, b: Arg) -> Result<()> {
+        for arg in [a, b] {
+            if let Arg::Field(id) = arg {
+                if id.vp != dst.vp {
+                    return Err(CmError::VpSetMismatch);
+                }
+            }
+        }
+        let size = self.vp_size(dst.vp)?;
+        let (ta, tb) = (self.arg_type(a)?, self.arg_type(b)?);
         if ta != tb {
             return Err(CmError::TypeMismatch { expected: ta, found: tb });
         }
@@ -342,53 +471,40 @@ impl Machine {
             return Err(CmError::TypeMismatch { expected: dty, found: rty });
         }
         // Active zero divisors are an error; inactive ones are fine because
-        // the masked apply below never evaluates inactive positions.
+        // the guarded kernel never evaluates inactive positions.
         if ta == ElemType::Int && matches!(op, BinOp::Div | BinOp::Mod) {
-            let FieldData::I64(y) = &self.field(b)?.data else { unreachable!() };
             let mask = self.vp(dst.vp)?.context.current();
-            if par::any2(y, mask, |&q, &m| m && q == 0) {
+            let zero = match b {
+                Arg::Field(id) => {
+                    let FieldData::I64(y) = &self.field(id)?.data else { unreachable!() };
+                    par::any2(y, mask, |&q, &m| m && q == 0)
+                }
+                Arg::Imm(s) => s.as_int() == 0 && par::first_active(mask).is_some(),
+            };
+            if zero {
                 return Err(CmError::DivideByZero);
             }
         }
         self.tick(OpClass::Alu, size)?;
         // Any aliased source equals dst, so one scratch copy covers both.
-        let tmp = if a == dst || b == dst { Some(self.scratch_copy(dst)?) } else { None };
+        let aliases = |arg: Arg| matches!(arg, Arg::Field(id) if id == dst);
+        let tmp = if aliases(a) || aliases(b) { Some(self.scratch_copy(dst)?) } else { None };
         let res: Result<()> = (|| {
             let (d, peers) = self.split_dst(dst)?;
             let mask = peers.mask(dst.vp)?;
-            let fa = if a == dst { tmp.as_ref().expect("alias copied") } else { peers.src(a)? };
-            let fb = if b == dst { tmp.as_ref().expect("alias copied") } else { peers.src(b)? };
-            match (fa, fb) {
-                (FieldData::I64(x), FieldData::I64(y)) => {
-                    if op.is_comparison() {
-                        let FieldData::Bool(dv) = d else { unreachable!() };
-                        par::apply2_masked(dv, x, y, mask, |&p, &q| int_cmp(op, p, q));
-                    } else {
-                        let FieldData::I64(dv) = d else { unreachable!() };
-                        par::apply2_masked(dv, x, y, mask, |&p, &q| int_binop(op, p, q));
-                    }
-                }
-                (FieldData::F64(x), FieldData::F64(y)) => {
-                    if op.is_comparison() {
-                        let FieldData::Bool(dv) = d else { unreachable!() };
-                        par::apply2_masked(dv, x, y, mask, |&p, &q| float_cmp(op, p, q));
-                    } else {
-                        let FieldData::F64(dv) = d else { unreachable!() };
-                        par::apply2_masked(dv, x, y, mask, |&p, &q| float_binop(op, p, q));
-                    }
-                }
-                (FieldData::Bool(x), FieldData::Bool(y)) => {
-                    let FieldData::Bool(dv) = d else { unreachable!() };
-                    match op {
-                        BinOp::LogAnd => par::apply2_masked(dv, x, y, mask, |&p, &q| p && q),
-                        BinOp::LogOr => par::apply2_masked(dv, x, y, mask, |&p, &q| p || q),
-                        BinOp::LogXor => par::apply2_masked(dv, x, y, mask, |&p, &q| p ^ q),
-                        BinOp::Eq => par::apply2_masked(dv, x, y, mask, |&p, &q| p == q),
-                        BinOp::Ne => par::apply2_masked(dv, x, y, mask, |&p, &q| p != q),
-                        _ => unreachable!("op validated above"),
-                    }
-                }
-                _ => unreachable!("operand types validated above"),
+            let resolve = |arg: Arg| -> Result<Src<'_>> {
+                Ok(match arg {
+                    Arg::Field(id) if id == dst => Src::Field(tmp.as_ref().expect("alias copied")),
+                    Arg::Field(id) => Src::Field(peers.src(id)?),
+                    Arg::Imm(s) => Src::Imm(s),
+                })
+            };
+            let (x, y) = (resolve(a)?, resolve(b)?);
+            let k = Dst { op, data: d, mask };
+            match ta {
+                ElemType::Int => run2(k, x.ints(), y.ints()),
+                ElemType::Float => run2(k, x.floats(), y.floats()),
+                ElemType::Bool => run2(k, x.bools(), y.bools()),
             }
             Ok(())
         })();
@@ -396,27 +512,6 @@ impl Machine {
             self.scratch.put_data(t);
         }
         res
-    }
-
-    /// `dst[i] = a[i] op imm` for active `i`.
-    pub fn binop_imm(&mut self, op: BinOp, dst: FieldId, a: FieldId, imm: Scalar) -> Result<()> {
-        let tmp = self.alloc(a.vp, "~imm", imm.elem_type())?;
-        // Immediate broadcast must reach inactive positions too (they are
-        // masked on commit, but divisor checks etc. see the value).
-        self.fill_unconditional(tmp, imm)?;
-        let r = self.binop(op, dst, a, tmp);
-        self.free(tmp)?;
-        r
-    }
-
-    /// `dst[i] = imm op b[i]` for active `i` (immediate on the left, for
-    /// non-commutative ops).
-    pub fn binop_imm_l(&mut self, op: BinOp, dst: FieldId, imm: Scalar, b: FieldId) -> Result<()> {
-        let tmp = self.alloc(b.vp, "~imm", imm.elem_type())?;
-        self.fill_unconditional(tmp, imm)?;
-        let r = self.binop(op, dst, tmp, b);
-        self.free(tmp)?;
-        r
     }
 
     /// Copy a field everywhere, ignoring the context mask. Used by the
@@ -505,13 +600,13 @@ impl Machine {
             let FieldData::Bool(c) = fc else { unreachable!() };
             match (d, fa, fb) {
                 (FieldData::I64(dv), FieldData::I64(x), FieldData::I64(y)) => {
-                    par::apply3_masked(dv, x, y, c, mask, |&p, &q, &m| if m { p } else { q })
+                    par::select_masked(dv, c, x, y, mask)
                 }
                 (FieldData::F64(dv), FieldData::F64(x), FieldData::F64(y)) => {
-                    par::apply3_masked(dv, x, y, c, mask, |&p, &q, &m| if m { p } else { q })
+                    par::select_masked(dv, c, x, y, mask)
                 }
                 (FieldData::Bool(dv), FieldData::Bool(x), FieldData::Bool(y)) => {
-                    par::apply3_masked(dv, x, y, c, mask, |&p, &q, &m| if m { p } else { q })
+                    par::select_masked(dv, c, x, y, mask)
                 }
                 _ => unreachable!("types validated above"),
             }

@@ -10,8 +10,21 @@
 //! element count alone. Chunk layout never depends on the thread count,
 //! so even float folds, which are sensitive to association order, are
 //! bit-identical under any `UC_THREADS` — simulations stay deterministic.
-//! (The cycle clock is charged *before* execution, so cost accounting is
-//! thread-count-independent too.)
+//! Cycle charges depend only on the op class and the VP-set size, never on
+//! the data or the pool, so cost accounting is thread-count-independent
+//! too. Most ops charge *before* they run and write nothing when the
+//! charge traps; NEWS shifts, router sends and gets, scans, reductions,
+//! `read_context` and `fill_unconditional` charge *after*, so a trapped
+//! charge there leaves the destination already written.
+//!
+//! Elementwise kernels pick the op once per instruction and run one
+//! monomorphic loop per (op, operand shape). Ops that cannot trap store
+//! through a branch-free mask: binops (`zip2_masked`), copies, fills,
+//! casts and unary ops. Integer division keeps the branch
+//! (`zip2_guarded`), and so does the router's gather, whose inactive
+//! addresses may be out of range. Immediates are `Splat` operands, never
+//! materialised fields. NEWS shifts (`shift_masked`) copy contiguous
+//! runs; only the border span of each block sees the border policy.
 //!
 //! The chunked fan-outs are allocation-free: per-chunk partials land in
 //! caller-provided stack arrays (chunk counts are bounded by
@@ -205,120 +218,174 @@ where
 pub fn commit_masked<T: Copy + Send + Sync>(dst: &mut [T], src: &[T], mask: &[bool]) {
     assert_eq!(dst.len(), src.len(), "commit length mismatch");
     assert_eq!(dst.len(), mask.len(), "commit mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(src.par_iter())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|((d, s), &m)| {
-                if m {
-                    *d = *s;
-                }
-            });
-    } else {
-        for ((d, s), &m) in dst.iter_mut().zip(src).zip(mask) {
-            if m {
-                *d = *s;
-            }
-        }
-    }
+    for_each_run_mut(dst, &|r, d| store_masked(d, src[r.clone()].iter().copied(), &mask[r]));
 }
 
 /// Masked in-place elementwise map of one source: `dst[i] = f(a[i])`
-/// wherever `mask[i]`. Writes nothing at inactive positions, so `dst` is
-/// never read — callers pass the destination field's storage directly.
+/// wherever `mask[i]`. Branch-free like `zip2_masked`, so `f` must not
+/// trap (casts and wrapping unary ops).
 pub fn apply1_masked<A, T, F>(dst: &mut [T], a: &[A], mask: &[bool], f: F)
 where
     A: Sync,
-    T: Send,
-    F: Fn(&A) -> T + Sync + Send,
+    T: Copy + Send,
+    F: Fn(&A) -> T + Sync,
 {
     assert_eq!(dst.len(), a.len(), "apply1 length mismatch");
     assert_eq!(dst.len(), mask.len(), "apply1 mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(a.par_iter())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|((d, x), &m)| {
-                if m {
-                    *d = f(x);
-                }
-            });
+    for_each_run_mut(dst, &|r, d| store_masked(d, a[r.clone()].iter().map(&f), &mask[r]));
+}
+
+/// Run `f(range, &mut dst[range])` over all of `dst`: in one piece below
+/// [`PAR_THRESHOLD`], else on the pool over the [`chunk_at`] partition.
+/// `f` is a trait object so the pool plumbing is compiled once per
+/// element type, not once per kernel; the per-element loop inside `f`
+/// stays monomorphic.
+fn for_each_run_mut<T: Send>(dst: &mut [T], f: &(dyn Fn(Range<usize>, &mut [T]) + Sync)) {
+    if dst.len() < PAR_THRESHOLD {
+        f(0..dst.len(), dst);
     } else {
-        for ((d, x), &m) in dst.iter_mut().zip(a).zip(mask) {
-            if m {
-                *d = f(x);
-            }
-        }
+        for_each_chunk_mut(dst, |_, r, chunk| f(r, chunk));
     }
 }
 
-/// Masked in-place elementwise map of two sources:
-/// `dst[i] = f(a[i], b[i])` wherever `mask[i]`.
-pub fn apply2_masked<A, B, T, F>(dst: &mut [T], a: &[A], b: &[B], mask: &[bool], f: F)
-where
-    A: Sync,
-    B: Sync,
-    T: Send,
-    F: Fn(&A, &B) -> T + Sync + Send,
-{
-    assert_eq!(dst.len(), a.len(), "apply2 length mismatch");
-    assert_eq!(dst.len(), b.len(), "apply2 length mismatch");
-    assert_eq!(dst.len(), mask.len(), "apply2 mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(a.par_iter())
-            .zip(b.par_iter())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|(((d, x), y), &m)| {
-                if m {
-                    *d = f(x, y);
-                }
-            });
-    } else {
-        for (((d, x), y), &m) in dst.iter_mut().zip(a).zip(b).zip(mask) {
-            if m {
-                *d = f(x, y);
-            }
-        }
+/// Branch-free masked store: `dst[i] = if mask[i] { src[i] } else { dst[i] }`.
+/// Every element is read and written back, which lets the loop vectorise.
+#[inline(always)]
+fn store_masked<T: Copy>(dst: &mut [T], src: impl Iterator<Item = T>, mask: &[bool]) {
+    for ((d, &m), s) in dst.iter_mut().zip(mask).zip(src) {
+        *d = if m { s } else { *d };
     }
 }
 
-/// Masked in-place elementwise map of three sources:
-/// `dst[i] = f(a[i], b[i], c[i])` wherever `mask[i]` (the `select` op).
-pub fn apply3_masked<A, B, C, T, F>(dst: &mut [T], a: &[A], b: &[B], c: &[C], mask: &[bool], f: F)
+/// A source operand of an elementwise kernel: a slice with one value per
+/// element, or one value broadcast to every element ([`Splat`]).
+pub(crate) trait Operand<T>: Copy + Sync {
+    /// The operand's values at positions `r`.
+    fn elems(self, r: Range<usize>) -> impl Iterator<Item = T>;
+}
+
+impl<T: Copy + Sync> Operand<T> for &[T] {
+    #[inline(always)]
+    fn elems(self, r: Range<usize>) -> impl Iterator<Item = T> {
+        self[r].iter().copied()
+    }
+}
+
+/// An immediate broadcast to every element, without materialising it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Splat<T>(pub(crate) T);
+
+impl<T: Copy + Sync> Operand<T> for Splat<T> {
+    #[inline(always)]
+    fn elems(self, _: Range<usize>) -> impl Iterator<Item = T> {
+        std::iter::repeat(self.0)
+    }
+}
+
+/// Branch-free masked map of two operands:
+/// `dst[i] = if mask[i] { f(x[i], y[i]) } else { dst[i] }`. `f` runs at
+/// every position, active or not, so it must not trap; ops that can
+/// (integer division) use [`zip2_guarded`].
+pub(crate) fn zip2_masked<A, B, O, X, Y, F>(dst: &mut [O], x: X, y: Y, mask: &[bool], f: F)
 where
-    A: Sync,
-    B: Sync,
-    C: Sync,
-    T: Send,
-    F: Fn(&A, &B, &C) -> T + Sync + Send,
+    O: Copy + Send,
+    X: Operand<A>,
+    Y: Operand<B>,
+    F: Fn(A, B) -> O + Sync,
 {
-    assert_eq!(dst.len(), a.len(), "apply3 length mismatch");
-    assert_eq!(dst.len(), b.len(), "apply3 length mismatch");
-    assert_eq!(dst.len(), c.len(), "apply3 length mismatch");
-    assert_eq!(dst.len(), mask.len(), "apply3 mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(a.par_iter())
-            .zip(b.par_iter())
-            .zip(c.par_iter())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|((((d, x), y), z), &m)| {
-                if m {
-                    *d = f(x, y, z);
-                }
-            });
-    } else {
-        for ((((d, x), y), z), &m) in dst.iter_mut().zip(a).zip(b).zip(c).zip(mask) {
+    assert_eq!(dst.len(), mask.len(), "zip2 mask length mismatch");
+    for_each_run_mut(dst, &|r, d| {
+        let vals = x.elems(r.clone()).zip(y.elems(r.clone())).map(|(a, b)| f(a, b));
+        store_masked(d, vals, &mask[r]);
+    });
+}
+
+/// Masked map of two operands that evaluates `f` only at active
+/// positions: `dst[i] = f(x[i], y[i])` wherever `mask[i]`. Integer `Div`
+/// and `Mod` use it, so an inactive zero divisor is never evaluated.
+pub(crate) fn zip2_guarded<A, B, O, X, Y, F>(dst: &mut [O], x: X, y: Y, mask: &[bool], f: F)
+where
+    O: Send,
+    X: Operand<A>,
+    Y: Operand<B>,
+    F: Fn(A, B) -> O + Sync,
+{
+    assert_eq!(dst.len(), mask.len(), "zip2 mask length mismatch");
+    for_each_run_mut(dst, &|r, d| {
+        let args = x.elems(r.clone()).zip(y.elems(r.clone()));
+        for ((d, &m), (a, b)) in d.iter_mut().zip(&mask[r]).zip(args) {
             if m {
-                *d = f(x, y, z);
+                *d = f(a, b);
             }
         }
-    }
+    });
+}
+
+/// Branch-free masked select (the `select` op):
+/// `dst[i] = if cond[i] { a[i] } else { b[i] }` wherever `mask[i]`.
+pub(crate) fn select_masked<T: Copy + Send + Sync>(
+    dst: &mut [T],
+    cond: &[bool],
+    a: &[T],
+    b: &[T],
+    mask: &[bool],
+) {
+    assert_eq!(dst.len(), mask.len(), "select mask length mismatch");
+    for_each_run_mut(dst, &|r, d| {
+        let picks = cond[r.clone()].iter().zip(&a[r.clone()]).zip(&b[r.clone()]);
+        store_masked(d, picks.map(|((&c, &x), &y)| if c { x } else { y }), &mask[r]);
+    });
+}
+
+/// One span of a block-periodic NEWS shift. Block-relative destinations
+/// `start..end` copy the contiguous source run that begins at
+/// block-relative position `from`, or take the border value when `from`
+/// is `None`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShiftSpan {
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+    pub(crate) from: Option<usize>,
+}
+
+/// NEWS shift kernel. `dst`, `src` and `mask` are cut into blocks of
+/// `block` elements, and every block follows the same `spans`: each span
+/// is one contiguous masked copy, or for a border span a masked store of
+/// `fill` (`None` leaves the destination as it was). `src` must not
+/// alias `dst`.
+pub(crate) fn shift_masked<T: Copy + Send + Sync>(
+    dst: &mut [T],
+    src: &[T],
+    mask: &[bool],
+    block: usize,
+    spans: &[ShiftSpan],
+    fill: Option<T>,
+) {
+    assert_eq!(dst.len(), src.len(), "shift length mismatch");
+    assert_eq!(dst.len(), mask.len(), "shift mask length mismatch");
+    assert!(block > 0 && dst.len().is_multiple_of(block), "shift block must tile the field");
+    for_each_run_mut(dst, &|r, d| {
+        let mut base = r.start - r.start % block;
+        while base < r.end {
+            for s in spans {
+                let lo = (base + s.start).max(r.start);
+                let hi = (base + s.end).min(r.end);
+                if lo >= hi {
+                    continue;
+                }
+                let (dd, m) = (&mut d[lo - r.start..hi - r.start], &mask[lo..hi]);
+                match (s.from, fill) {
+                    (Some(from), _) => {
+                        let at = lo - s.start + from;
+                        store_masked(dd, src[at..at + (hi - lo)].iter().copied(), m);
+                    }
+                    (None, Some(v)) => store_masked(dd, std::iter::repeat(v), m),
+                    (None, None) => {}
+                }
+            }
+            base += block;
+        }
+    });
 }
 
 /// Masked in-place indexed map: `dst[i] = f(i)` wherever `mask[i]`
@@ -349,54 +416,10 @@ where
     }
 }
 
-/// Masked in-place update with index and the previous value:
-/// `dst[i] = f(i, dst[i])` wherever `mask[i]` (NEWS shifts with
-/// `Border::Keep`, which must preserve the old value at the border).
-pub fn update_index_masked<T, F>(dst: &mut [T], mask: &[bool], f: F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(usize, T) -> T + Sync + Send,
-{
-    assert_eq!(dst.len(), mask.len(), "update_index mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        (0..dst.len())
-            .into_par_iter()
-            .zip(dst.par_iter_mut())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|((i, d), &m)| {
-                if m {
-                    *d = f(i, *d);
-                }
-            });
-    } else {
-        for ((i, d), &m) in dst.iter_mut().enumerate().zip(mask) {
-            if m {
-                *d = f(i, *d);
-            }
-        }
-    }
-}
-
 /// Masked fill: `dst[i] = value` wherever `mask[i]` (`set_imm`).
 pub fn fill_masked<T: Copy + Send + Sync>(dst: &mut [T], value: T, mask: &[bool]) {
     assert_eq!(dst.len(), mask.len(), "fill mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|(d, &m)| {
-                if m {
-                    *d = value;
-                }
-            });
-    } else {
-        for (d, &m) in dst.iter_mut().zip(mask) {
-            if m {
-                *d = value;
-            }
-        }
-    }
+    for_each_run_mut(dst, &|r, d| store_masked(d, std::iter::repeat(value), &mask[r]));
 }
 
 /// Masked gather: `dst[i] = src[addrs[i]]` wherever `mask[i]` — the

@@ -176,3 +176,50 @@ fn fuel_checks_cover_every_op_class() {
         "front-end charges are flat"
     );
 }
+
+#[test]
+fn trapped_immediate_ops_leak_nothing() {
+    // 64 VPs: an int immediate's broadcast storage is 512 bytes.
+    for imm_left in [false, true] {
+        for deadline in [false, true] {
+            let mut m = Machine::with_defaults();
+            let vp = m.new_vp_set("v", &[64]).unwrap();
+            let a = m.alloc_int(vp, "a").unwrap();
+            let d = m.alloc_int(vp, "d").unwrap();
+            m.iota(a).unwrap();
+            let (live, mem) = (m.live_fields(), m.mem_bytes());
+            if deadline {
+                m.arm_deadline(0);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            } else {
+                m.set_fuel(Some(m.cycles()));
+            }
+            let err = if imm_left {
+                m.binop_imm_l(BinOp::Sub, d, 1.into(), a)
+            } else {
+                m.binop_imm(BinOp::Add, d, a, 1.into())
+            }
+            .expect_err("the broadcast's charge traps");
+            assert!(err.is_budget(), "{err:?}");
+            assert_eq!(m.live_fields(), live, "imm_left={imm_left} deadline={deadline}");
+            assert_eq!(m.mem_bytes(), mem, "imm_left={imm_left} deadline={deadline}");
+        }
+    }
+}
+
+#[test]
+fn immediates_are_charged_as_broadcast_fields() {
+    let mut m = Machine::with_defaults();
+    let vp = m.new_vp_set("v", &[64]).unwrap();
+    let a = m.alloc_int(vp, "a").unwrap();
+    let base = m.mem_bytes();
+    // The immediate's 512 bytes must fit next to the live storage.
+    m.set_mem_limit(Some(base + 511));
+    let err = m.binop_imm(BinOp::Add, a, a, 1.into()).expect_err("511 bytes of headroom");
+    assert!(matches!(err, CmError::MemoryLimitExceeded { requested: 512, .. }), "{err:?}");
+    assert_eq!(m.counters().alu, 0, "the memory check precedes any charge");
+    m.set_mem_limit(Some(base + 512));
+    m.binop_imm(BinOp::Add, a, a, 1.into()).expect("512 bytes fit");
+    assert_eq!(m.mem_bytes(), base);
+    assert_eq!(m.counters().alu, 2, "broadcast plus the op");
+}

@@ -1,7 +1,10 @@
 //! Property-based tests of the simulator's core invariants.
 
 use proptest::prelude::*;
-use uc_cm::{news::Border, BinOp, Combine, FieldData, Geometry, Machine, ReduceOp, Scalar};
+use uc_cm::cost::{CostModel, OpClass};
+use uc_cm::{
+    news::Border, BinOp, CmError, Combine, ElemType, FieldData, Geometry, Machine, ReduceOp, Scalar,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -311,4 +314,546 @@ proptest! {
             av.iter().zip(&bv).map(|(&x, &y)| (x * y).max(x) + 13).collect();
         prop_assert_eq!(m.read_all(c).unwrap(), FieldData::I64(expect));
     }
+}
+
+// ---------------------------------------------------------------------
+// NEWS shifts against coordinate arithmetic.
+// ---------------------------------------------------------------------
+
+/// Where each destination of a NEWS shift reads from, worked out from
+/// row-major coordinates: `Some(q)` for source VP `q`, `None` off the
+/// grid. Arithmetic is in i128 so no offset can overflow.
+fn news_sources(dims: &[usize], axis: usize, offset: i64, wrap: bool) -> Vec<Option<usize>> {
+    let size: usize = dims.iter().product();
+    (0..size)
+        .map(|p| {
+            let mut coord = vec![0usize; dims.len()];
+            let mut rest = p;
+            for d in (0..dims.len()).rev() {
+                coord[d] = rest % dims[d];
+                rest /= dims[d];
+            }
+            let extent = dims[axis] as i128;
+            let mut c = coord[axis] as i128 + offset as i128;
+            if wrap {
+                c = c.rem_euclid(extent);
+            } else if !(0..extent).contains(&c) {
+                return None;
+            }
+            coord[axis] = c as usize;
+            Some(
+                coord
+                    .iter()
+                    .zip(dims)
+                    .fold(0, |addr, (&c, &d)| addr * d + c),
+            )
+        })
+        .collect()
+}
+
+/// A field of `ty` built from per-element draws.
+fn field_of(ty: ElemType, n: usize, seed: u64) -> FieldData {
+    match ty {
+        ElemType::Int => FieldData::I64((0..n).map(|i| int_value(mix(seed, i as u64))).collect()),
+        ElemType::Float => {
+            FieldData::F64((0..n).map(|i| float_value(mix(seed, i as u64))).collect())
+        }
+        ElemType::Bool => FieldData::Bool((0..n).map(|i| mix(seed, i as u64) & 1 == 1).collect()),
+    }
+}
+
+/// Element `i` of a field as a scalar.
+fn elem(f: &FieldData, i: usize) -> Scalar {
+    match f {
+        FieldData::I64(v) => Scalar::Int(v[i]),
+        FieldData::F64(v) => Scalar::Float(v[i]),
+        FieldData::Bool(v) => Scalar::Bool(v[i]),
+    }
+}
+
+/// A field's elements as bit patterns, so float results compare exactly
+/// (NaN included).
+fn bits(f: &FieldData) -> Vec<u64> {
+    (0..f.len()).map(|i| scalar_bits(elem(f, i))).collect()
+}
+
+fn scalar_bits(s: Scalar) -> u64 {
+    match s {
+        Scalar::Int(x) => x as u64,
+        Scalar::Float(x) => x.to_bits(),
+        Scalar::Bool(x) => x as u64,
+    }
+}
+
+/// Shift a random `ty` field of shape `dims` along every axis, by every
+/// offset in `-(extent+1)..=extent+1` (or just `offsets` when given) plus
+/// `i64::MIN` and `i64::MAX`, under every border policy, both into
+/// another field and in place, and compare with [`news_sources`].
+fn check_news(
+    dims: &[usize],
+    ty: ElemType,
+    seed: u64,
+    offsets: Option<&[i64]>,
+) -> Result<(), String> {
+    let n: usize = dims.iter().product();
+    let mask: Vec<bool> = (0..n)
+        .map(|i| !mix(seed ^ 0x5A5A, i as u64).is_multiple_of(3))
+        .collect();
+    let src_data = field_of(ty, n, seed);
+    let old_data = field_of(ty, n, !seed);
+    let fill = elem(&field_of(ty, 1, seed ^ 0xF111), 0);
+    let mut m = Machine::with_defaults();
+    let vp = m.new_vp_set("g", dims).unwrap();
+    let src = m.alloc(vp, "src", ty).unwrap();
+    let dst = m.alloc(vp, "dst", ty).unwrap();
+    let mk = m.alloc_bool(vp, "mask").unwrap();
+    m.write_all(mk, FieldData::Bool(mask.clone())).unwrap();
+    m.push_context(mk).unwrap();
+    for axis in 0..dims.len() {
+        let e = dims[axis] as i64;
+        let mut offs: Vec<i64> = match offsets {
+            Some(o) => o.to_vec(),
+            None => (-(e + 1)..=e + 1).collect(),
+        };
+        offs.extend([i64::MIN, i64::MAX]);
+        for &offset in &offs {
+            for border in [Border::Wrap, Border::Fill(fill), Border::Keep] {
+                let from = news_sources(dims, axis, offset, border == Border::Wrap);
+                for in_place in [false, true] {
+                    let (target, input) = if in_place {
+                        m.write_all(dst, src_data.clone()).unwrap();
+                        (dst, &src_data)
+                    } else {
+                        m.write_all(src, src_data.clone()).unwrap();
+                        m.write_all(dst, old_data.clone()).unwrap();
+                        (dst, &old_data)
+                    };
+                    let source = if in_place { dst } else { src };
+                    let (cycles, news) = (m.cycles(), m.counters().news);
+                    m.news_shift(target, source, axis, offset, border).unwrap();
+                    let expect: Vec<u64> = (0..n)
+                        .map(|p| {
+                            let old = scalar_bits(elem(input, p));
+                            match (mask[p], from[p], border) {
+                                (false, _, _) => old,
+                                (true, Some(q), _) => scalar_bits(elem(&src_data, q)),
+                                (true, None, Border::Fill(v)) => scalar_bits(v),
+                                (true, None, _) => old,
+                            }
+                        })
+                        .collect();
+                    let got = bits(&m.read_all(target).unwrap());
+                    prop_assert_eq!(
+                        got,
+                        expect,
+                        "dims {:?} axis {} offset {} {:?} in_place {}",
+                        dims,
+                        axis,
+                        offset,
+                        border,
+                        in_place
+                    );
+                    prop_assert_eq!(m.counters().news, news + 1);
+                    let charge = CostModel::default().charge(OpClass::News, n, m.phys_procs());
+                    // read_all charges a front-end op; the shift one NEWS op.
+                    let front = CostModel::default().charge(OpClass::FrontEnd, n, m.phys_procs());
+                    prop_assert_eq!(m.cycles() - cycles, charge + front);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Small grids of rank 1-3, every axis, offset, border and type.
+    #[test]
+    fn news_shift_matches_coordinate_reference(dims in prop::collection::vec(1usize..6, 1..4),
+                                               seed in 0u64..u64::MAX,
+                                               ty in 0usize..3) {
+        let ty = [ElemType::Int, ElemType::Float, ElemType::Bool][ty];
+        check_news(&dims, ty, seed, None)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Fields on both sides of `PAR_THRESHOLD`, where the shift runs on
+    /// the pool in chunks that cut across blocks.
+    #[test]
+    fn parallel_news_shift_matches_coordinate_reference(seed in 0u64..u64::MAX,
+                                                        shape in 0usize..6) {
+        let t = uc_cm::par::PAR_THRESHOLD;
+        let dims: Vec<usize> = match shape {
+            0 => vec![t - 1],
+            1 => vec![t + 1],
+            2 => vec![64, 128],
+            3 => vec![67, 131],
+            4 => vec![3, 50, 55],
+            _ => vec![2, 7, 585],
+        };
+        let offsets = [-2, -1, 0, 1, 3, 64, -131];
+        check_news(&dims, ElemType::Int, seed, Some(&offsets))?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// ALU binops against a scalar reference.
+// ---------------------------------------------------------------------
+
+/// Integer draws: edge values a third of the time (zero divisors,
+/// `i64::MIN / -1`, shift counts of 64 and more), small values otherwise.
+fn int_value(r: u64) -> i64 {
+    const EDGE: [i64; 10] = [0, 1, -1, 63, 64, 65, 127, i64::MIN, i64::MAX, -64];
+    if r.is_multiple_of(3) {
+        EDGE[(r / 3 % 10) as usize]
+    } else {
+        (r >> 8) as i64 % 1000 - 500
+    }
+}
+
+fn float_value(r: u64) -> f64 {
+    const EDGE: [f64; 8] = [
+        0.0,
+        -0.0,
+        1.5,
+        -2.25,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e300,
+    ];
+    if r.is_multiple_of(3) {
+        EDGE[(r / 3 % 8) as usize]
+    } else {
+        ((r >> 8) as i64 % 1000 - 500) as f64 / 7.0
+    }
+}
+
+const ALL_BINOPS: [BinOp; 21] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::Div,
+    BinOp::Mod,
+    BinOp::Min,
+    BinOp::Max,
+    BinOp::BitAnd,
+    BinOp::BitOr,
+    BinOp::BitXor,
+    BinOp::Shl,
+    BinOp::Shr,
+    BinOp::LogAnd,
+    BinOp::LogOr,
+    BinOp::LogXor,
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+];
+
+/// What `a op b` means, element by element; `None` when the machine must
+/// reject the op for this operand type.
+fn scalar_binop(op: BinOp, a: Scalar, b: Scalar) -> Option<Scalar> {
+    use Scalar::{Bool as B, Float as F, Int as I};
+    Some(match (a, b) {
+        (I(a), I(b)) => match op {
+            BinOp::Add => I(a.wrapping_add(b)),
+            BinOp::Sub => I(a.wrapping_sub(b)),
+            BinOp::Mul => I(a.wrapping_mul(b)),
+            BinOp::Div => I(a.wrapping_div(b)),
+            BinOp::Mod => I(a.wrapping_rem(b)),
+            BinOp::Min => I(a.min(b)),
+            BinOp::Max => I(a.max(b)),
+            BinOp::BitAnd => I(a & b),
+            BinOp::BitOr => I(a | b),
+            BinOp::BitXor => I(a ^ b),
+            // The shift count is taken modulo 64.
+            BinOp::Shl => I(a.wrapping_shl(b as u32)),
+            BinOp::Shr => I(a.wrapping_shr(b as u32)),
+            BinOp::Eq => B(a == b),
+            BinOp::Ne => B(a != b),
+            BinOp::Lt => B(a < b),
+            BinOp::Le => B(a <= b),
+            BinOp::Gt => B(a > b),
+            BinOp::Ge => B(a >= b),
+            BinOp::LogAnd | BinOp::LogOr | BinOp::LogXor => return None,
+        },
+        (F(a), F(b)) => match op {
+            BinOp::Add => F(a + b),
+            BinOp::Sub => F(a - b),
+            BinOp::Mul => F(a * b),
+            BinOp::Div => F(a / b),
+            BinOp::Min => F(a.min(b)),
+            BinOp::Max => F(a.max(b)),
+            BinOp::Eq => B(a == b),
+            BinOp::Ne => B(a != b),
+            BinOp::Lt => B(a < b),
+            BinOp::Le => B(a <= b),
+            BinOp::Gt => B(a > b),
+            BinOp::Ge => B(a >= b),
+            _ => return None,
+        },
+        (B(a), B(b)) => match op {
+            BinOp::LogAnd => B(a && b),
+            BinOp::LogOr => B(a || b),
+            BinOp::LogXor => B(a != b),
+            BinOp::Eq => B(a == b),
+            BinOp::Ne => B(a != b),
+            _ => return None,
+        },
+        _ => unreachable!("operands share a type"),
+    })
+}
+
+/// How a binop's operands are supplied.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    FieldField,
+    FieldImm,
+    ImmField,
+    /// `binop(op, x, x, y)`
+    AliasLeft,
+    /// `binop(op, y, x, y)`
+    AliasRight,
+    /// `binop_imm(op, x, x, imm)`
+    AliasFieldImm,
+    /// `binop_imm_l(op, y, imm, y)`
+    AliasImmField,
+}
+
+const SHAPES: [Shape; 7] = [
+    Shape::FieldField,
+    Shape::FieldImm,
+    Shape::ImmField,
+    Shape::AliasLeft,
+    Shape::AliasRight,
+    Shape::AliasFieldImm,
+    Shape::AliasImmField,
+];
+
+/// Run `op` on `ty` operands in `shape` under `mask` and compare the
+/// destination, the error (if any), the cycles and every op counter with
+/// what the scalar reference implies.
+fn check_binop(
+    op: BinOp,
+    ty: ElemType,
+    shape: Shape,
+    seed: u64,
+    mask: &[bool],
+) -> Result<(), String> {
+    let n = mask.len();
+    let (xs, ys) = (field_of(ty, n, seed), field_of(ty, n, !seed));
+    let imm = elem(&field_of(ty, 1, seed ^ 0x1337), 0);
+    let imm_left = matches!(shape, Shape::ImmField | Shape::AliasImmField);
+    let imm_right = matches!(shape, Shape::FieldImm | Shape::AliasFieldImm);
+    let x_at = |i| if imm_left { imm } else { elem(&xs, i) };
+    let y_at = |i| if imm_right { imm } else { elem(&ys, i) };
+    let one = match ty {
+        ElemType::Int => Scalar::Int(1),
+        ElemType::Float => Scalar::Float(1.0),
+        ElemType::Bool => Scalar::Bool(true),
+    };
+    let rty = scalar_binop(op, one, one).map(|s| s.elem_type());
+
+    let mut m = Machine::with_defaults();
+    let vp = m.new_vp_set("v", &[n]).unwrap();
+    let x = m.alloc(vp, "x", ty).unwrap();
+    let y = m.alloc(vp, "y", ty).unwrap();
+    let d = m.alloc(vp, "d", rty.unwrap_or(ty)).unwrap();
+    let mk = m.alloc_bool(vp, "m").unwrap();
+    m.write_all(x, xs.clone()).unwrap();
+    m.write_all(y, ys.clone()).unwrap();
+    let d_old = field_of(rty.unwrap_or(ty), n, seed ^ 0xD57);
+    m.write_all(d, d_old.clone()).unwrap();
+    m.write_all(mk, FieldData::Bool(mask.to_vec())).unwrap();
+    m.push_context(mk).unwrap();
+
+    let (cycles, counters, live, mem) = (
+        m.cycles(),
+        m.counters().clone(),
+        m.live_fields(),
+        m.mem_bytes(),
+    );
+    let (target, res) = match shape {
+        Shape::FieldField => (d, m.binop(op, d, x, y)),
+        Shape::FieldImm => (d, m.binop_imm(op, d, x, imm)),
+        Shape::ImmField => (d, m.binop_imm_l(op, d, imm, y)),
+        Shape::AliasLeft => (x, m.binop(op, x, x, y)),
+        Shape::AliasRight => (y, m.binop(op, y, x, y)),
+        Shape::AliasFieldImm => (x, m.binop_imm(op, x, x, imm)),
+        Shape::AliasImmField => (y, m.binop_imm_l(op, y, imm, y)),
+    };
+    let before = if target == x {
+        &xs
+    } else if target == y {
+        &ys
+    } else {
+        &d_old
+    };
+    let dst_ty = before.elem_type();
+    let zero_divisor = ty == ElemType::Int
+        && matches!(op, BinOp::Div | BinOp::Mod)
+        && (0..n).any(|i| mask[i] && y_at(i) == Scalar::Int(0));
+    let ok = rty == Some(dst_ty) && !zero_divisor;
+    let what = format!("{op:?} on {ty:?} as {shape:?}");
+
+    // An immediate's broadcast costs one ALU op before validation; the
+    // op itself costs one more once validated.
+    let alu_ops = u64::from(imm_left || imm_right) + u64::from(ok);
+    let mut expect_counters = counters;
+    expect_counters.alu += alu_ops;
+    prop_assert_eq!(*m.counters(), expect_counters, "{}: counters", what);
+    let alu = CostModel::default().charge(OpClass::Alu, n, m.phys_procs());
+    prop_assert_eq!(m.cycles() - cycles, alu_ops * alu, "{}: cycles", what);
+    prop_assert_eq!(
+        (m.live_fields(), m.mem_bytes()),
+        (live, mem),
+        "{}: leaked",
+        what
+    );
+
+    let expect: Vec<u64> = if ok {
+        prop_assert!(res.is_ok(), "{}: {:?}", what, res);
+        (0..n)
+            .map(|i| {
+                if mask[i] {
+                    scalar_bits(scalar_binop(op, x_at(i), y_at(i)).unwrap())
+                } else {
+                    scalar_bits(elem(before, i))
+                }
+            })
+            .collect()
+    } else {
+        if zero_divisor && rty == Some(dst_ty) {
+            prop_assert_eq!(res, Err(CmError::DivideByZero), "{}", what);
+        } else {
+            prop_assert!(res.is_err(), "{}: must be rejected", what);
+        }
+        bits(before)
+    };
+    m.pop_context(vp).unwrap();
+    prop_assert_eq!(
+        bits(&m.read_all(target).unwrap()),
+        expect,
+        "{}: values",
+        what
+    );
+    Ok(())
+}
+
+/// Every op, type and operand shape under `mask`, and again with every
+/// zero divisor masked off (which must then never trap).
+fn check_all_binops(seed: u64, mask: &[bool]) -> Result<(), String> {
+    for ty in [ElemType::Int, ElemType::Float, ElemType::Bool] {
+        for op in ALL_BINOPS {
+            for shape in SHAPES {
+                check_binop(op, ty, shape, seed, mask)?;
+                // The divisor of this shape: field `y`, or the immediate.
+                let imm_right = matches!(shape, Shape::FieldImm | Shape::AliasFieldImm);
+                let divisors = if imm_right {
+                    field_of(ty, 1, seed ^ 0x1337)
+                } else {
+                    field_of(ty, mask.len(), !seed)
+                };
+                let safe: Vec<bool> = (0..mask.len())
+                    .map(|i| {
+                        mask[i] && elem(&divisors, if imm_right { 0 } else { i }) != Scalar::Int(0)
+                    })
+                    .collect();
+                check_binop(op, ty, shape, seed, &safe)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Small fields: all 21 ops x 3 types x 7 operand shapes.
+    #[test]
+    fn binops_match_scalar_reference(seed in 0u64..u64::MAX, n in 1usize..40) {
+        let mask: Vec<bool> = (0..n).map(|i| !mix(seed ^ 0xACE, i as u64).is_multiple_of(4)).collect();
+        check_all_binops(seed, &mask)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The same at sizes on both sides of `PAR_THRESHOLD`.
+    #[test]
+    fn parallel_binops_match_scalar_reference(seed in 0u64..u64::MAX, delta in 0usize..3) {
+        let n = uc_cm::par::PAR_THRESHOLD - 1 + delta * 1029;
+        let mask: Vec<bool> = (0..n).map(|i| !mix(seed ^ 0xACE, i as u64).is_multiple_of(4)).collect();
+        check_all_binops(seed, &mask)?;
+    }
+
+    /// `select` picks per element under the mask, aliased or not.
+    #[test]
+    fn select_matches_scalar_reference(seed in 0u64..u64::MAX, delta in 0usize..3) {
+        let n = [5, uc_cm::par::PAR_THRESHOLD - 1, uc_cm::par::PAR_THRESHOLD + 1029][delta];
+        let mask: Vec<bool> = (0..n).map(|i| !mix(seed ^ 0xACE, i as u64).is_multiple_of(4)).collect();
+        let cond: Vec<bool> = (0..n).map(|i| mix(seed ^ 0xC0, i as u64) & 1 == 1).collect();
+        for alias in [false, true] {
+            let (xs, ys) = (field_of(ElemType::Float, n, seed), field_of(ElemType::Float, n, !seed));
+            let old = field_of(ElemType::Float, n, seed ^ 0xD57);
+            let mut m = Machine::with_defaults();
+            let vp = m.new_vp_set("v", &[n]).unwrap();
+            let (x, y, d) = (m.alloc_float(vp, "x").unwrap(), m.alloc_float(vp, "y").unwrap(), m.alloc_float(vp, "d").unwrap());
+            let (c, mk) = (m.alloc_bool(vp, "c").unwrap(), m.alloc_bool(vp, "m").unwrap());
+            m.write_all(x, xs.clone()).unwrap();
+            m.write_all(y, ys.clone()).unwrap();
+            m.write_all(d, old.clone()).unwrap();
+            m.write_all(c, FieldData::Bool(cond.clone())).unwrap();
+            m.write_all(mk, FieldData::Bool(mask.clone())).unwrap();
+            m.push_context(mk).unwrap();
+            let target = if alias { x } else { d };
+            let before = if alias { &xs } else { &old };
+            let alu = m.counters().alu;
+            m.select(target, c, x, y).unwrap();
+            prop_assert_eq!(m.counters().alu, alu + 1);
+            m.pop_context(vp).unwrap();
+            let expect: Vec<u64> = (0..n)
+                .map(|i| match (mask[i], cond[i]) {
+                    (false, _) => scalar_bits(elem(before, i)),
+                    (true, true) => scalar_bits(elem(&xs, i)),
+                    (true, false) => scalar_bits(elem(&ys, i)),
+                })
+                .collect();
+            prop_assert_eq!(bits(&m.read_all(target).unwrap()), expect);
+        }
+    }
+}
+
+/// Integer edge cases pinned to explicit values, not to a reference.
+#[test]
+fn integer_edge_cases() {
+    let mut m = Machine::with_defaults();
+    let vp = m.new_vp_set("v", &[6]).unwrap();
+    let a = m.alloc_int(vp, "a").unwrap();
+    let b = m.alloc_int(vp, "b").unwrap();
+    let d = m.alloc_int(vp, "d").unwrap();
+    let write =
+        |m: &mut Machine, f, v: [i64; 6]| m.write_all(f, FieldData::I64(v.to_vec())).unwrap();
+    write(&mut m, a, [i64::MIN, i64::MIN, 7, -7, 5, 1]);
+    write(&mut m, b, [-1, 1, 64, 65, 127, -1]);
+    m.binop(BinOp::Div, d, a, b).unwrap();
+    assert_eq!(m.int_data(d).unwrap(), &[i64::MIN, i64::MIN, 0, 0, 0, -1]);
+    m.binop(BinOp::Mod, d, a, b).unwrap();
+    assert_eq!(m.int_data(d).unwrap(), &[0, 0, 7, -7, 5, 0]);
+    // Shift counts are taken modulo 64.
+    m.binop(BinOp::Shl, d, a, b).unwrap();
+    assert_eq!(m.int_data(d).unwrap(), &[0, 0, 7, -14, i64::MIN, i64::MIN]);
+    m.binop(BinOp::Shr, d, a, b).unwrap();
+    assert_eq!(m.int_data(d).unwrap(), &[-1, i64::MIN >> 1, 7, -4, 0, 0]);
+    m.binop_imm_l(BinOp::Div, d, Scalar::Int(i64::MIN), b)
+        .unwrap();
+    assert_eq!(m.int_data(d).unwrap()[0], i64::MIN);
 }

@@ -232,18 +232,18 @@ impl<'c> Walker<'c> {
             let r = self.idx_form(rhs);
             match (op, l, r) {
                 (BinaryOp::Add, SIdx::AxisPlus { axis, offset }, SIdx::Const) => {
-                    if let Ok(c) = self.const_of(rhs) {
-                        return SIdx::AxisPlus { axis, offset: offset + c };
+                    if let Some(offset) = self.const_of(rhs).ok().and_then(|c| offset.checked_add(c)) {
+                        return SIdx::AxisPlus { axis, offset };
                     }
                 }
                 (BinaryOp::Add, SIdx::Const, SIdx::AxisPlus { axis, offset }) => {
-                    if let Ok(c) = self.const_of(lhs) {
-                        return SIdx::AxisPlus { axis, offset: offset + c };
+                    if let Some(offset) = self.const_of(lhs).ok().and_then(|c| offset.checked_add(c)) {
+                        return SIdx::AxisPlus { axis, offset };
                     }
                 }
                 (BinaryOp::Sub, SIdx::AxisPlus { axis, offset }, SIdx::Const) => {
-                    if let Ok(c) = self.const_of(rhs) {
-                        return SIdx::AxisPlus { axis, offset: offset - c };
+                    if let Some(offset) = self.const_of(rhs).ok().and_then(|c| offset.checked_sub(c)) {
+                        return SIdx::AxisPlus { axis, offset };
                     }
                 }
                 _ => {}
@@ -364,6 +364,17 @@ mod tests {
             "{GRID}main() {{ par (I, J) b[i][j] = (a[i-1][j] + a[i+1][j] + a[i][j-1] + a[i][j+1]) / 4; }}"
         ));
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn overflowing_offsets_are_not_shifts() {
+        // `i` starts at 1, so the offset of `i + MAX` overflows i64: it is
+        // not a regular shift, and classifying it must not panic.
+        let f = findings(
+            "index_set I:i = {1..8};\nint a[10], b[10];\n\
+             main() { par (I) b[i] = a[i + 9223372036854775807]; }",
+        );
+        assert!(codes_of(&f).iter().all(|c| *c == "UC111"), "{f:?}");
     }
 
     #[test]

@@ -299,7 +299,11 @@ impl Program {
         for (d, sub) in subs.iter().enumerate() {
             match self.symbolic_index(sub) {
                 IdxForm::AxisPlus { axis, offset } if axis == d => {
-                    shifts.push(offset - offsets[d]);
+                    // An unrepresentable shift takes the router instead.
+                    let Some(shift) = offset.checked_sub(offsets[d]) else {
+                        return Ok(None);
+                    };
+                    shifts.push(shift);
                     logical_offsets.push(offset);
                 }
                 _ => return Ok(None),
@@ -352,8 +356,9 @@ impl Program {
         let extent = dims[axis];
         let bits: Vec<bool> = (0..size)
             .map(|p| {
-                let coord = ((p / stride) % extent) as i64 + c;
-                coord >= 0 && coord < n
+                // An overflowing coordinate is off the array too.
+                let coord = (((p / stride) % extent) as i64).checked_add(c);
+                coord.is_some_and(|k| (0..n).contains(&k))
             })
             .collect();
         let ok = self.machine.alloc_bool(vp, "~ok")?;

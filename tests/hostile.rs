@@ -104,6 +104,23 @@ fn budget_traps_mention_the_budget() {
     assert!(err.to_string().contains("budget exceeded"), "{err}");
 }
 
+/// A NEWS read displaced by `i64::MAX` must neither overflow nor wrap:
+/// every element reads off the array, so every element is INF. The
+/// program's final division traps exactly when that holds.
+#[test]
+fn huge_news_offset_reads_inf() {
+    let (name, src) = corpus()
+        .into_iter()
+        .find(|(name, _)| name == "huge_news_offset.uc")
+        .expect("corpus lists huge_news_offset.uc");
+    let mut p = Program::compile_with(&src, default_budgets())
+        .unwrap_or_else(|d| panic!("{name}: {d}"));
+    let err = p.run().expect_err("the final division traps");
+    assert!(matches!(err.error, RuntimeError::DivideByZero), "{err}");
+    assert_eq!(p.read_int_array("b").unwrap(), vec![i64::MAX; 8]);
+    assert!(p.machine().counters().news > 0, "the read must take the NEWS path");
+}
+
 // ---------------------------------------------------------------------
 // Generated programs: arbitrary compositions of attack fragments.
 // ---------------------------------------------------------------------
